@@ -28,12 +28,12 @@ dataset manifest.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._env import env_flag
 from repro.errors import SimulationError
 from repro.mm.address_space import AddressSpace, place_area
 from repro.mm.page_table import StackedPTEBits
@@ -43,7 +43,7 @@ from repro.workloads import datasets, make_workload
 
 def fast_seeds_enabled() -> bool:
     """The ``REPRO_FAST_SEEDS`` knob (default on)."""
-    return os.environ.get("REPRO_FAST_SEEDS", "1").strip() != "0"
+    return env_flag("REPRO_FAST_SEEDS", True)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@
   in all cases (p < 0.01)");
 - bootstrap confidence intervals for mean ratios (used by the report
   layer when comparing policies).
+
+``scipy.stats`` is imported inside the three functions that call it:
+``import repro`` reaches this module, and loading scipy costs most of
+the package's import time and memory, so processes that never run one
+of these tests do not pay for it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import ConfigError
 
@@ -42,6 +46,8 @@ def linear_fit(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     if np.all(x == x[0]):
         # Degenerate: vertical data; define r² = 0 and slope 0.
         return LinearFit(0.0, float(y.mean()), 0.0, int(x.size))
+    from scipy import stats as sps
+
     result = sps.linregress(x, y)
     return LinearFit(
         slope=float(result.slope),
@@ -57,6 +63,8 @@ def welch_ttest(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
     b = np.asarray(b, dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ConfigError("welch_ttest needs at least 2 samples per group")
+    from scipy import stats as sps
+
     t, p = sps.ttest_ind(a, b, equal_var=False)
     return float(t), float(p)
 
@@ -67,6 +75,8 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
     b = np.asarray(b, dtype=np.float64)
     if a.size < 1 or b.size < 1:
         raise ConfigError("mann_whitney needs non-empty samples")
+    from scipy import stats as sps
+
     u, p = sps.mannwhitneyu(a, b, alternative="two-sided")
     return float(u), float(p)
 

@@ -23,6 +23,7 @@ from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
+from repro._env import env_flag
 from repro.core.config import SystemConfig
 from repro.core.experiment import DATASET_SEED
 from repro.fleet.config import FleetConfig, TenantShape, apportion_requests
@@ -45,9 +46,19 @@ from repro.workloads.zipf import ZipfSampler
 #: Row format tag (also the sink's header format).
 ROW_FORMAT = "repro.fleet/v2"
 
-#: Keys sampled per batch inside a tenant thread (amortizes RNG cost,
-#: not semantics — matches the YCSB workload's batching idiom).
+#: Requests classified and accounted per batch inside a tenant thread
+#: (the unit of ``LANE_STATS`` and the ``fleet_batch`` hook; matches the
+#: YCSB workload's batching idiom).  The scalar lane also draws its keys
+#: per batch.
 KEY_BATCH = 256
+
+#: Requests per draw window of the vectorized lane: a run of one
+#: tenant's requests whose keys, ops and arrival instants each come
+#: from one numpy call, then serve batch by batch.  A multiple of
+#: ``KEY_BATCH``, so windows split into the scalar lane's batches.
+#: Generators consume their streams value by value, so the draws do not
+#: depend on the window size.
+DRAW_WINDOW = 8 * KEY_BATCH
 
 
 class _LaneStats:
@@ -101,7 +112,7 @@ def fast_fleet_enabled() -> bool:
     emit identical command streams, so rows and reports are
     byte-identical either way; the toggle exists for A/B verification.
     """
-    return os.environ.get("REPRO_FAST_FLEET", "1") != "0"
+    return env_flag("REPRO_FAST_FLEET", True)
 
 
 def psi_enabled() -> bool:
@@ -112,7 +123,7 @@ def psi_enabled() -> bool:
     identical, and PSI-off runs carry zero per-event cost (the stall
     sites gate on ``system.psi is None``).
     """
-    return os.environ.get("REPRO_PSI", "0") != "0"
+    return env_flag("REPRO_PSI", False)
 
 
 def spans_enabled() -> bool:
@@ -122,7 +133,7 @@ def spans_enabled() -> bool:
     rows and tenant entries, leaves every pre-existing field
     byte-identical, and spans-off runs pay only the ``is None`` gates.
     """
-    return os.environ.get("REPRO_SPANS", "0") != "0"
+    return env_flag("REPRO_SPANS", False)
 
 
 def spans_sample_env() -> int:
@@ -193,6 +204,32 @@ def _ratio_pages(footprint: int, ratio: Optional[float]) -> Optional[int]:
     return max(1, int(footprint * ratio))
 
 
+class _Arrivals:
+    """One tenant's open-loop Poisson arrival instants, drawn lazily.
+
+    Successive :meth:`take` calls return the trace
+    ``np.cumsum(rng.exponential(scale, size=n)).astype(np.int64)`` piece
+    by piece, bit for bit: exponential draws consume the stream value by
+    value and ``cumsum`` adds left to right, so folding the running sum
+    into each piece's first gap reproduces the one-shot sums exactly.
+    """
+
+    __slots__ = ("_rng", "_scale", "_carry")
+
+    def __init__(self, rng: np.random.Generator, scale: float) -> None:
+        self._rng = rng
+        self._scale = scale
+        self._carry = 0.0
+
+    def take(self, n: int) -> np.ndarray:
+        """The next *n* (>= 1) arrival instants, in ns."""
+        gaps = self._rng.exponential(scale=self._scale, size=n)
+        gaps[0] += self._carry
+        sums = np.cumsum(gaps)
+        self._carry = float(sums[-1])
+        return sums.astype(np.int64)
+
+
 # ----------------------------------------------------------------------
 # Tenant server thread
 # ----------------------------------------------------------------------
@@ -244,7 +281,8 @@ def _tenant_body(
     shape: TenantShape,
     store: KVStore,
     sampler: ZipfSampler,
-    arrivals: np.ndarray,
+    arrivals: _Arrivals,
+    n_mine: int,
     index_start: int,
     item_start: int,
     slo_ns: int,
@@ -287,7 +325,6 @@ def _tenant_body(
     quantum = system.compute_quantum_ns
     overhead = system.costs.fault_overhead_ns
     c = shape.request_compute_ns
-    n_mine = int(arrivals.shape[0])
     fault_hist = state.fault_hist
     request_hist = state.request_hist
     # PSI attribution wants the tenant's SLO-violation windows; the
@@ -319,7 +356,7 @@ def _tenant_body(
         is_read = op_rng.random(batch) < shape.read_fraction
         index_vpns = (index_start + store.index_pages(keys)).tolist()
         item_vpns = (item_start + store.item_pages(keys)).tolist()
-        arr = arrivals[issued : issued + batch].tolist()
+        arr = arrivals.take(batch).tolist()
         n_residue = 0
         for i in range(batch):
             arrival = arr[i]
@@ -407,7 +444,8 @@ def _tenant_body_fast(
     shape: TenantShape,
     store: KVStore,
     sampler: ZipfSampler,
-    arrivals: np.ndarray,
+    arrivals: _Arrivals,
+    n_mine: int,
     index_start: int,
     item_start: int,
     slo_ns: int,
@@ -461,7 +499,6 @@ def _tenant_body_fast(
     quantum = system.compute_quantum_ns
     overhead = system.costs.fault_overhead_ns
     c = shape.request_compute_ns
-    n_mine = int(arrivals.shape[0])
     fault_hist = state.fault_hist
     request_hist = state.request_hist
     viol = state.viol_intervals if system.psi is not None else None
@@ -513,22 +550,34 @@ def _tenant_body_fast(
             _viol_add(viol, vmin + slo_ns, now)
 
     issued = 0
+    w_start = w_end = 0
     while issued < n_mine:
-        batch = min(KEY_BATCH, n_mine - issued)
-        keys = sampler.sample(key_rng, batch)
-        is_read = op_rng.random(batch) < shape.read_fraction
-        iidx = index_map[store.index_pages(keys)]
-        tidx = item_map[store.item_pages(keys)]
-        arr = arrivals[issued : issued + batch]
-        write_mask = ~is_read
-        any_write = bool(write_mask.any())
+        if issued == w_end:
+            # Draw the next window; its batches below are views into it.
+            window = min(DRAW_WINDOW, n_mine - issued)
+            keys = sampler.sample(key_rng, window)
+            w_write = op_rng.random(window) >= shape.read_fraction
+            w_any_write = bool(w_write.any())
+            w_iidx = index_map[store.index_pages(keys)]
+            w_tidx = item_map[store.item_pages(keys)]
+            w_arr = arrivals.take(window)
+            w_start, w_end = issued, issued + window
+        lo = issued - w_start
+        batch = min(KEY_BATCH, w_end - issued)
+        iidx = w_iidx[lo : lo + batch]
+        tidx = w_tidx[lo : lo + batch]
+        arr = w_arr[lo : lo + batch]
+        write_mask = w_write[lo : lo + batch]
+        any_write = w_any_write and bool(write_mask.any())
+        # Once ``engine.now`` passes the batch's last arrival, every
+        # request of the batch has arrived and the arrival checks below
+        # are settled without reading the arrivals.
+        arr_last = int(arr[-1])
         # Python-list mirrors for the scalar (arrival-bound) paths:
         # plain int indexing is several times cheaper than numpy scalar
-        # indexing.  ``arr_l`` is hot at the loop top either way; the
-        # others are touched only by the scalar/residue paths and
-        # materialize on first use, so a fully vector-served batch
-        # never pays for them.
-        arr_l = arr.tolist()
+        # indexing.  They materialize on first use, so a batch that has
+        # wholly arrived and is fully vector-served never pays for them.
+        arr_l: Optional[List[int]] = None
         iidx_l: Optional[List[int]] = None
         tidx_l: Optional[List[int]] = None
         wm_l: Optional[List[bool]] = None
@@ -542,7 +591,8 @@ def _tenant_body_fast(
         # common steady-state: every page of the batch resident) elides
         # both the list mirror and the per-request run scan.
         pres_a = present[iidx] & present[tidx]
-        pres_all = bool(pres_a.all())
+        n_pres = int(np.count_nonzero(pres_a))
+        pres_all = n_pres == batch
         pres_l = None if pres_all else pres_a.tolist()
         pres_valid = True
         # Re-gathering after an invalidation only pays when the batch
@@ -550,22 +600,25 @@ def _tenant_body_fast(
         # heavy-pressure cells where a classification serves only a
         # couple of requests before the next fault — serve scalar-style
         # off live reads instead.
-        gather_ok = pres_all or int(pres_a.sum()) * 10 >= batch * 9
+        gather_ok = pres_all or n_pres * 10 >= batch * 9
         epoch = memcg.evict_epoch if memcg is not None else 0
         n_residue = 0
         pos = 0
         while pos < batch:
             now = engine.now
-            if arr_l[pos] > now:
-                # Next request not here yet: flush, re-check, sleep.
-                if pending_ns:
-                    yield Compute(pending_ns)
-                    pending_ns = 0
-                flush_observe()
-                arrival = arr_l[pos]
-                if arrival > engine.now:
-                    yield Sleep(arrival - engine.now)
-                continue
+            if now < arr_last:
+                if arr_l is None:
+                    arr_l = arr.tolist()
+                if arr_l[pos] > now:
+                    # Next request not here yet: flush, re-check, sleep.
+                    if pending_ns:
+                        yield Compute(pending_ns)
+                        pending_ns = 0
+                    flush_observe()
+                    arrival = arr_l[pos]
+                    if arrival > engine.now:
+                        yield Sleep(arrival - engine.now)
+                    continue
             if (
                 pres_valid
                 and memcg is not None
@@ -578,18 +631,17 @@ def _tenant_body_fast(
                 # (arrival-bound) cells never have one and would
                 # otherwise re-gather every few requests.
                 pres_valid = False
-            end = pos + 1
-            if (
-                end < batch
-                and arr_l[end] <= now
-                and (pres_valid or gather_ok)
-            ):
+            if not (pres_valid or gather_ok):
+                # An invalidated sparse batch serves scalar-style, so
+                # the exact burst length (a searchsorted per request)
+                # is unused.
+                k_arr = 1
+            elif now >= arr_last:
+                k_arr = batch - pos
+            elif pos + 1 < batch and arr_l[pos + 1] <= now:
                 k_arr = int(arr.searchsorted(now, side="right")) - pos
             else:
-                # Single arrival — or an invalidated sparse batch,
-                # where the burst serves scalar-style and the exact
-                # burst length (a searchsorted per request) is unused.
-                k_arr = 1
+                k_arr = 1  # a single arrival
             if k_arr == 1 or (not pres_valid and k_arr <= 16):
                 # Arrival-bound regime: one request pending (or a short
                 # burst with the classification invalidated — serving
@@ -598,6 +650,8 @@ def _tenant_body_fast(
                 # Scalar ops beat numpy call overhead on length-1
                 # segments.
                 if iidx_l is None:
+                    if arr_l is None:
+                        arr_l = arr.tolist()
                     iidx_l = iidx.tolist()
                     tidx_l = tidx.tolist()
                     wm_l = write_mask.tolist()
@@ -670,7 +724,11 @@ def _tenant_body_fast(
                     # observe_many overhead beats a short loop).  The
                     # aggregates are order-independent, so routing is
                     # bin-identical either way.
-                    w_scalar.extend(arr_l[pos : pos + k])
+                    w_scalar.extend(
+                        arr[pos : pos + k].tolist()
+                        if arr_l is None
+                        else arr_l[pos : pos + k]
+                    )
                 else:
                     w_chunks.append(arr[pos : pos + k])
                 pos += k
@@ -685,6 +743,8 @@ def _tenant_body_fast(
             # classified non-resident (possibly stale-False) — the
             # scalar per-request path, verbatim, against live presence.
             if iidx_l is None:
+                if arr_l is None:
+                    arr_l = arr.tolist()
                 iidx_l = iidx.tolist()
                 tidx_l = tidx.tolist()
                 wm_l = write_mask.tolist()
@@ -955,10 +1015,9 @@ def run_fleet_trial(
         if shares[i] == 0:
             continue
         rate_rps = config.arrival_rate_rps * weights[i] / w_sum
-        gaps = rng.stream("fleet", "arrivals", i).exponential(
-            scale=1e9 / rate_rps, size=shares[i]
+        arrivals = _Arrivals(
+            rng.stream("fleet", "arrivals", i), 1e9 / rate_rps
         )
-        arrivals = np.cumsum(gaps).astype(np.int64)
         shape = config.shape_of(i)
         data = shape_data[config.shape_index(i)]
         system.spawn_app_thread(
@@ -969,6 +1028,7 @@ def run_fleet_trial(
                 data["store"],
                 data["sampler"],
                 arrivals,
+                shares[i],
                 starts[i][0],
                 starts[i][1],
                 config.slo_ns,

@@ -23,11 +23,11 @@ what the paper's read/write tail-latency splits come from.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro._env import env_flag
 from repro._units import US
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.mm.address_space import AddressSpace
@@ -98,7 +98,7 @@ class MemorySystem:
         #: to force the scalar reference path.  Both produce bit-identical
         #: simulations — the toggle exists for A/B verification.
         if fast_access is None:
-            fast_access = os.environ.get("REPRO_FAST_ACCESS", "1") != "0"
+            fast_access = env_flag("REPRO_FAST_ACCESS", True)
         self.fast_access = bool(fast_access)
         #: Vectorized reclaim triage / swap-batch kernels (the reclaim
         #: fast lane).  Same contract as ``fast_access``: both settings
@@ -106,7 +106,7 @@ class MemorySystem:
         #: simulation is bit-identical either way; ``REPRO_FAST_RECLAIM=0``
         #: forces the scalar reference kernels for A/B verification.
         if fast_reclaim is None:
-            fast_reclaim = os.environ.get("REPRO_FAST_RECLAIM", "1") != "0"
+            fast_reclaim = env_flag("REPRO_FAST_RECLAIM", True)
         self.fast_reclaim = bool(fast_reclaim)
 
         self._kswapd_waker = Waker("kswapd")

@@ -13,10 +13,10 @@ increasing sequence number breaks ties), which keeps runs deterministic.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Iterator, Optional
 
+from repro._env import env_flag
 from repro.errors import DeadlockError, SimulationError
 from repro.metrics import hooks as _mx
 from repro.sim.process import SimThread
@@ -71,7 +71,7 @@ class Engine:
         #: Live non-daemon threads (kept incrementally; checked per event).
         self._n_live_foreground = 0
         if fast is None:
-            fast = os.environ.get("REPRO_FAST_ENGINE", "1") != "0"
+            fast = env_flag("REPRO_FAST_ENGINE", True)
         self._fast = bool(fast)
 
     # ------------------------------------------------------------------

@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro._env import env_flag
 from repro.core import tracecache
 from repro.workloads.shm import ShmDatasetHandle, attach_dataset
 
@@ -121,7 +122,7 @@ def memo_mode() -> str:
 
 
 def shm_enabled() -> bool:
-    return os.environ.get("REPRO_DATASET_SHM", "1").strip() != "0"
+    return env_flag("REPRO_DATASET_SHM", True)
 
 
 def install_shm_manifest(

@@ -21,6 +21,7 @@ from typing import List
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.workloads.zipf import GuideTable
 
 #: 8-byte entries per 4 KiB page.
 ENTRIES_PER_PAGE = 512
@@ -102,8 +103,9 @@ def power_law_graph(
     weights = np.power(np.arange(n_vertices, dtype=np.float64) + i0, -alpha)
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    sources = np.searchsorted(cdf, rng.random(n_edges), side="left")
-    targets = np.searchsorted(cdf, rng.random(n_edges), side="left")
+    endpoints = GuideTable(cdf)
+    sources = endpoints.invert(rng.random(n_edges))
+    targets = endpoints.invert(rng.random(n_edges))
     # CSR: sort edges by source.
     order = np.argsort(sources, kind="stable")
     sources = sources[order]

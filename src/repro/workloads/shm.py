@@ -15,9 +15,9 @@ Ownership model (the refcounted cleanup the pool shutdown relies on):
   ``ExperimentRunner.close()``) closes and unlinks them all, and an
   ``atexit`` hook covers interrupted runs;
 - workers only ever attach.  Attachments are cached per segment and
-  reference-counted; each is unregistered from the stdlib
-  ``resource_tracker`` right after attaching, because the tracker would
-  otherwise unlink the parent's segment when the *first* worker exits.
+  reference-counted.  Pool workers share the parent's stdlib
+  ``resource_tracker``, and the parent's ``unlink()`` is what clears a
+  segment's entry there, so an attaching worker leaves it alone.
 
 Dataset arrays are immutable by contract (they model the paper's fixed
 input data), which is what makes sharing one mapping across processes
@@ -89,16 +89,6 @@ def attach_dataset(handle: ShmDatasetHandle) -> Dict[str, np.ndarray]:
     if cached is not None:
         return cached[1]
     segment = shared_memory.SharedMemory(name=handle.segment)
-    # The stdlib resource tracker registers every attach and unlinks the
-    # segment when the first attaching process exits — which would yank
-    # the dataset out from under the parent and its other workers.
-    # Attachments don't own the segment; the parent does.
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals shifted
-        pass
     views: Dict[str, np.ndarray] = {}
     for name, dtype, shape, off in handle.layout:
         view = np.ndarray(shape, dtype=dtype, buffer=segment.buf, offset=off)

@@ -1,10 +1,16 @@
 """Statistics helpers: regression, tests, bootstrap."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.stats import (
     bootstrap_mean_ci,
     coefficient_of_variation,
@@ -110,3 +116,23 @@ class TestCV:
     def test_known_value(self):
         cv = coefficient_of_variation([8, 12])
         assert cv == pytest.approx(np.std([8, 12], ddof=1) / 10)
+
+
+def test_package_import_does_not_load_scipy():
+    # scipy is most of the package's import time and memory; only the
+    # three test functions above load it, on first call.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, repro, repro.core.figures; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.fleet import FleetConfig, JsonlSink, TenantShape, run_fleet_trial
+from repro.fleet import trial as fleet_trial
 from repro.fleet.report import build_registry, render_markdown
 from repro.fleet.runner import WINDOW_PER_JOB, run_sweep
 from repro.fleet.sink import load_rows
-from repro.fleet.trial import LANE_STATS, fast_fleet_enabled
+from repro.fleet.trial import KEY_BATCH, LANE_STATS, fast_fleet_enabled
 from repro.metrics import hooks
 
 
@@ -76,6 +78,61 @@ def test_fast_lane_serving_bound_regime_identical():
         arrival_rate_rps=1e10,
     )
     _rows_identical(config, "mglru")
+
+
+@pytest.mark.parametrize("window_batches", [1, 3])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {
+            "shapes": (
+                TenantShape(
+                    n_items=60, read_fraction=1.0, request_compute_ns=0
+                ),
+            ),
+            "capacity_ratio": 0.95,
+            "arrival_rate_rps": 1e10,
+        },
+    ],
+    ids=["arrival-bound", "serving-bound"],
+)
+def test_fast_lane_draw_windows_identical(monkeypatch, window_batches, overrides):
+    # Draw windows of one and of three batches: the vectorized lane's
+    # keys, ops and arrivals come from one numpy call per window, and
+    # must still match the scalar lane's per-batch draws.  Every
+    # tenant's request count is a non-multiple of KEY_BATCH, so windows
+    # and batches both end ragged, and spans several windows.
+    monkeypatch.setattr(fleet_trial, "DRAW_WINDOW", window_batches * KEY_BATCH)
+    config = small_config(n_requests_total=5_000, **overrides)
+    scalar = run_fleet_trial(config, "mglru", 7, fast_fleet=False)
+    counts = [t["requests"] for t in scalar["tenants"]]
+    assert all(count % KEY_BATCH for count in counts)
+    assert max(counts) > 3 * KEY_BATCH * window_batches
+    fast = run_fleet_trial(config, "mglru", 7, fast_fleet=True)
+    assert json.dumps(scalar, sort_keys=True) == json.dumps(
+        fast, sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lazy_arrivals_match_one_shot_trace(seed):
+    scale, n = 1e9 / 37_000.0, 5_000
+    expected = np.cumsum(
+        np.random.default_rng(seed).exponential(scale, size=n)
+    ).astype(np.int64)
+    splits = np.random.default_rng(seed + 100).integers(1, 700, size=n)
+    arrivals = fleet_trial._Arrivals(np.random.default_rng(seed), scale)
+    pieces, taken = [], 0
+    for size in splits:
+        size = int(min(size, n - taken))
+        if size == 0:
+            break
+        pieces.append(arrivals.take(size))
+        taken += size
+    got = np.concatenate(pieces)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_fast_lane_protection_rings_identical():

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import tracecache
 from repro.workloads import datasets, shm
 
@@ -164,3 +170,54 @@ class TestSharedMemory:
             np.testing.assert_array_equal(out["data"], np.arange(16))
         finally:
             server.shutdown()
+
+
+#: Three cells of distinct workloads on a two-worker pool.  The pool
+#: forks during the first cell, so its dataset reaches the workers
+#: through fork; the other two arrive over shared memory.
+_POOL_RUN = """
+from repro.core.config import ExperimentConfig, SystemConfig
+from repro.core.experiment import ExperimentRunner
+from repro.workloads import WORKLOAD_FACTORIES
+from repro.workloads.pagerank import PageRankParams, PageRankWorkload
+from repro.workloads.tpch import TPCHParams, TPCHWorkload
+from repro.workloads.ycsb import YCSBParams, YCSBWorkload
+
+WORKLOAD_FACTORIES["tpch"] = lambda: TPCHWorkload(TPCHParams(
+    table_pages=96, hash_pages=96, shuffle_pages=64, n_threads=4,
+    n_queries=1))
+WORKLOAD_FACTORIES["pagerank"] = lambda: PageRankWorkload(PageRankParams(
+    n_vertices=4096, avg_degree=6, n_iterations=3, n_threads=4))
+WORKLOAD_FACTORIES["ycsb-a"] = lambda: YCSBWorkload(
+    "a", YCSBParams(n_items=1200, n_requests=4000, n_threads=2))
+with ExperimentRunner(jobs=2) as runner:
+    for workload in ("tpch", "pagerank", "ycsb-a"):
+        result = runner.run(ExperimentConfig(
+            workload=workload,
+            system=SystemConfig(policy="clock", swap="ssd",
+                                capacity_ratio=0.5),
+            n_trials=3, base_seed=1))
+        print(workload, len(result.trials))
+"""
+
+
+def test_pool_workers_leave_parent_segments_registered(tmp_path):
+    # Forked workers share the parent's resource tracker, so a worker
+    # that unregistered a segment after attaching made the parent's
+    # unlink() print ``KeyError: '/psm_...'`` from the tracker.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, REPRO_TRACE_CACHE=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    env.pop("REPRO_JOBS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_RUN],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "tpch", "3", "pagerank", "3", "ycsb-a", "3",
+    ]
+    assert "KeyError" not in proc.stderr, proc.stderr
+    assert "leaked shared_memory" not in proc.stderr, proc.stderr

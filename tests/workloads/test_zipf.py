@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.workloads.zipf import ZipfSampler
+from repro.workloads.zipf import GuideTable, ZipfSampler
 
 
 class TestZipf:
@@ -67,3 +67,42 @@ class TestZipf:
         pmf = [sampler.pmf(r) for r in range(n)]
         assert sum(pmf) == pytest.approx(1.0)
         assert all(a >= b - 1e-12 for a, b in zip(pmf, pmf[1:]))
+
+
+class TestGuideTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        theta=st.floats(0.0, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inversion_equals_binary_search(self, n, theta, seed):
+        # Sampling draws, every CDF value with both float neighbours,
+        # every guide boundary b / 2^k, 0.0 and values past 1.0: the
+        # guide walk must land exactly where ``searchsorted(side="left")``
+        # does.
+        sampler = ZipfSampler(n, theta=theta)
+        cdf = sampler.cdf
+        table = GuideTable(cdf)
+        size = table._size
+        u = np.concatenate(
+            [
+                np.random.default_rng(seed).random(4096),
+                cdf,
+                np.nextafter(cdf, -np.inf),
+                np.nextafter(cdf, np.inf),
+                np.arange(size + 1) / size,
+                [0.0, 1.0 + 2.0 / size, 1.5, 7.0],
+            ]
+        )
+        np.testing.assert_array_equal(
+            table.invert(u), np.searchsorted(cdf, u, side="left")
+        )
+
+    def test_sample_draws_unchanged(self):
+        perm = np.random.default_rng(3).permutation(15_000)
+        sampler = ZipfSampler(15_000, theta=0.99, permutation=perm)
+        u = np.random.default_rng(11).random(50_000)
+        expected = perm[np.searchsorted(sampler.cdf, u, side="left")]
+        got = sampler.sample(np.random.default_rng(11), 50_000)
+        np.testing.assert_array_equal(got, expected)
