@@ -19,6 +19,22 @@ submitted with ``w`` ns of work finishes when ``S`` reaches
 ``S(submit) + w``.  We keep ``S`` lazily updated, a min-heap of target
 ``S`` values, and one versioned timer armed for the earliest target —
 O(log n) per scheduling event and exact (no quantization).
+
+Run-ahead.  A job submitted to an idle CPU runs alone at rate 1, so its
+timer delay is known at submit.  When nothing else is due before that
+instant (no zero-delay event pending, the engine heap's head strictly
+later, no thread of a same-instant completion still waiting) and the
+run goes on until then (a foreground thread is live, the instant is
+within ``Engine.run``'s bound), the timer would be the very next
+event, and its round trip (CPU-heap push, timer push, engine-heap
+pop, :meth:`CPU._on_timer`, CPU-heap pop, a fresh thread step) changes
+nothing but the clock and this bookkeeping.  :meth:`CPU.submit` then
+replays that bookkeeping — service, busy time, the armed fields, one
+CPU and one engine sequence number, two timer versions — moves the
+clock to the completion instant and returns ``True``, and the thread
+keeps running in the same step.  Observers see the same calls at the
+same instants.  Only the fast engine runs ahead; ``Engine(fast=False)``
+is the heap-only reference it is checked against.
 """
 
 from __future__ import annotations
@@ -99,23 +115,75 @@ class CPU:
     # Job lifecycle
     # ------------------------------------------------------------------
 
-    def submit(self, thread: "SimThread", work_ns: int) -> None:
-        """Begin ``work_ns`` of CPU service for *thread*; the thread is
-        resumed when the service has been delivered.
+    def submit(self, thread: "SimThread", work_ns: int) -> bool:
+        """Begin ``work_ns`` of CPU service for *thread*.
+
+        Returns ``True`` when the job ran ahead (see the module
+        docstring): it is already complete, the clock stands at its
+        completion instant, and the caller resumes the thread at once.
+        Returns ``False`` when the completion timer will resume it.
 
         This is the single hottest callback in a trial (every Compute
         lands here), so :meth:`_advance`, :meth:`_set_rate` and
         :meth:`_arm_timer` are inlined.
         """
-        # _advance()
-        now = self._engine._now
-        dt = now - self._last_update
-        if dt > 0:
-            n = self._n_jobs
-            if n:
+        engine = self._engine
+        now = engine._now
+        if not self._n_jobs:
+            # _advance() on an idle CPU only moves the update mark.
+            self._last_update = now
+            service = self._service
+            target = service + work_ns
+            # The timer below would be armed for deficit / rate with
+            # rate 1.0, and x / 1.0 == x.
+            deficit = target - service
+            if deficit > _EPSILON:
+                delay = int(deficit)
+                if delay < deficit:
+                    delay += 1
+                when = now + delay
+                # _on_timer's service after advancing by ``delay``.
+                served = service + delay
+                queue = engine._queue
+                if (
+                    when <= engine._ahead_until
+                    and not engine._imm
+                    and not engine._held
+                    and engine._n_live_foreground
+                    and (not queue or queue[0][0] > when)
+                    # Else the timer would fire marginally early and
+                    # re-arm: leave that to the normal path.
+                    and target <= served + _EPSILON
+                ):
+                    self._seq += 1
+                    engine._seq += 1
+                    engine._n_ahead += 1
+                    self._timer_version += 2
+                    # The consumed timer leaves the armed target at -1.
+                    self._armed_rate = 1.0
+                    if _tp.sched_runnable is not None:
+                        _tp.sched_runnable(1)
+                    psi = self.psi
+                    if psi is not None:
+                        psi.cpu_begin(thread.in_memstall)
+                    engine._now = when
+                    self._service = served
+                    self.busy_cpu_ns += delay
+                    self._last_update = when
+                    # The rate stays 1.0, as on every idle CPU.
+                    if _tp.sched_runnable is not None:
+                        _tp.sched_runnable(0)
+                    if psi is not None:
+                        psi.cpu_end(thread.in_memstall)
+                    return True
+        else:
+            # _advance()
+            dt = now - self._last_update
+            if dt > 0:
+                n = self._n_jobs
                 self._service += dt * self._rate
                 self.busy_cpu_ns += dt * (n if n < self.n_cpus else self.n_cpus)
-            self._last_update = now
+                self._last_update = now
         self._seq += 1
         heapq.heappush(self._heap, (self._service + work_ns, self._seq, thread))
         n = self._n_jobs = self._n_jobs + 1
@@ -137,7 +205,7 @@ class CPU:
                     delay += 1  # ceiling without float drift on exact values
             else:
                 delay = 0
-            self._engine.schedule1(delay, self._on_timer, version)
+            engine.schedule1(delay, self._on_timer, version)
         if _tp.sched_runnable is not None:
             _tp.sched_runnable(n)
         psi = self.psi
@@ -147,6 +215,7 @@ class CPU:
             # *full* stall.  ``in_memstall`` cannot change while this
             # job is in flight — the owning generator is suspended.
             psi.cpu_begin(thread.in_memstall)
+        return False
 
     def _advance(self) -> None:
         """Accrue service up to the current instant."""
@@ -232,5 +301,11 @@ class CPU:
             # each ``in_memstall`` is still the value it had at submit.
             for thread in done:
                 psi.cpu_end(thread.in_memstall)
+        # Same-instant guard: while a completed thread still waits to
+        # resume at this instant, none may run ahead of it.
+        engine = self._engine
+        held = len(done)
         for thread in done:
+            held -= 1
+            engine._held = held
             thread._step(None)

@@ -50,8 +50,20 @@ class Engine:
     entry for the *same* instant, so execution order is provably
     identical to the heap-only path while fault completions, resource
     grants, waker kicks and thread spawns skip a heappush+heappop
-    round-trip.  ``REPRO_FAST_ENGINE=0`` (or ``fast=False``) forces the
-    heap-only reference behaviour for A/B verification.
+    round-trip.
+
+    CPU run-ahead: a thread that submits a Compute to an idle CPU while
+    nothing else is due before the job would end completes it inline
+    (see :meth:`repro.sim.cpu.CPU.submit`): the clock jumps to the
+    completion instant and the thread keeps running in the same step,
+    with the sequence numbers, CPU state and observer calls the timer
+    round-trip would have produced.  The engine bounds this through
+    ``_ahead_until`` (``run``'s ``until_ns``, or -1 when run-ahead is
+    off) and ``_held`` (threads a CPU timer completed at this instant
+    that have not resumed yet).
+
+    ``REPRO_FAST_ENGINE=0`` (or ``fast=False``) forces the heap-only
+    reference behaviour for A/B verification: no deque, no run-ahead.
     """
 
     def __init__(self, fast: Optional[bool] = None) -> None:
@@ -73,6 +85,15 @@ class Engine:
         if fast is None:
             fast = env_flag("REPRO_FAST_ENGINE", True)
         self._fast = bool(fast)
+        #: Latest instant a CPU job may run ahead to: the bound of the
+        #: running :meth:`run` on the fast engine, else -1 (never).
+        self._ahead_until = -1
+        #: Threads a CPU timer completed at the current instant that
+        #: have not resumed yet; no job may run ahead while any wait.
+        self._held = 0
+        #: Run-ahead completions so far, each standing in for the heap
+        #: dispatch of one CPU timer.
+        self._n_ahead = 0
 
     # ------------------------------------------------------------------
     # Clock and scheduling
@@ -179,6 +200,8 @@ class Engine:
         imm_popleft = imm.popleft
         # Sentinel keeps the per-event bound test a plain int compare.
         until = (1 << 62) if until_ns is None else until_ns
+        if self._fast:
+            self._ahead_until = until
         try:
             if _mx.engine_events is not None:
                 # Metered twin of the loop below; the unmetered loop
@@ -218,6 +241,7 @@ class Engine:
                 )
             return self._now
         finally:
+            self._ahead_until = -1
             self._running = False
 
     def _run_metered(self, until: int) -> int:
@@ -227,7 +251,9 @@ class Engine:
         Counting into local ints and flushing once (in ``finally``, so
         partial counts survive exceptions) keeps the per-event overhead
         to one integer increment; the dispatch order is identical to
-        the unmetered loop, so metered trials stay bit-identical.
+        the unmetered loop, so metered trials stay bit-identical.  A
+        CPU run-ahead counts as the heap dispatch of the timer it
+        replaces.
         """
         heappop = heapq.heappop
         queue = self._queue
@@ -235,6 +261,7 @@ class Engine:
         imm_popleft = imm.popleft
         n_imm = 0
         n_heap = 0
+        n_ahead = self._n_ahead
         try:
             while True:
                 if imm:
@@ -270,6 +297,7 @@ class Engine:
                 )
             return self._now
         finally:
+            n_heap += self._n_ahead - n_ahead
             hook = _mx.engine_events
             if hook is not None and (n_imm or n_heap):
                 hook(n_imm, n_heap)

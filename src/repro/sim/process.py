@@ -132,9 +132,10 @@ class SimThread:
                     _mx.thread_done(self.compute_requested_ns)
                 self.done_event.fire(stop.value)
                 return
-            # Exact-type dispatch first (the two commands that dominate
-            # every trial); anything else — including subclasses — goes
-            # through the isinstance chain in :meth:`_dispatch`.
+            # Exact-type dispatch for the two commands that dominate
+            # every trial; waits go through :meth:`_dispatch`, which
+            # rejects anything else (subclasses of Compute and Sleep
+            # included).
             cls = type(command)
             if cls is Compute:
                 ns = command.ns
@@ -156,7 +157,11 @@ class SimThread:
                         "CPU set"
                     )
                 self.compute_requested_ns += ns
-                cpu.submit(self, ns)
+                if cpu.submit(self, ns):
+                    # Ran ahead: the job is done and the clock stands
+                    # at its completion instant.
+                    value = None
+                    continue
             elif cls is Sleep:
                 ns = command.ns
                 if ns <= 0:
@@ -171,19 +176,7 @@ class SimThread:
             return
 
     def _dispatch(self, command: Any) -> None:
-        if isinstance(command, Compute):
-            if command.ns <= 0:
-                self._resume_soon(None)
-                return
-            if self.cpu is None:
-                raise SimulationError(
-                    f"thread {self.name!r} yielded Compute with no CPU set"
-                )
-            self.compute_requested_ns += command.ns
-            self.cpu.submit(self, command.ns)
-        elif isinstance(command, Sleep):
-            self._engine.schedule1(max(0, command.ns), self._step, None)
-        elif isinstance(command, WaitEvent):
+        if isinstance(command, WaitEvent):
             if not command.event._add_waiter(self):
                 self._resume_soon(command.event.value)
         elif isinstance(command, WaitWaker):

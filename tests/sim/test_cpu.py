@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim.cpu import CPU
 from repro.sim.engine import Engine
-from repro.sim.events import Compute, Sleep
+from repro.sim.events import Compute, OneShotEvent, Sleep, WaitEvent
 
 
 def run_computes(n_cpus, works):
@@ -165,3 +165,216 @@ class TestWorkConservationProperty:
         w = works[0]
         _, finishes = run_computes(1, [w] * len(works))
         assert max(finishes) - min(finishes) <= len(works) * 2
+
+
+class TestRunAhead:
+    """A Compute alone on an idle CPU completes inside the submitting
+    thread's step when nothing else is due first; every observable
+    stays as the heap-only engine has it."""
+
+    def test_lone_compute_runs_ahead(self):
+        engine = Engine()
+        cpu = CPU(engine, 1)
+
+        def body():
+            yield Compute(10)
+            yield Compute(5)
+            return engine.now
+
+        t = engine.spawn(body(), name="lone")
+        t.cpu = cpu
+        engine.run()
+        assert t.result == 15
+        # Nothing else is ever pending, so both jobs complete inline.
+        assert engine._n_ahead == 2
+        assert cpu.busy_cpu_ns == 15
+        assert cpu.utilization() == 1.0
+
+    def test_same_instant_completions_resume_before_any_run_ahead(self):
+        # Both jobs end at 10 in one timer.  The first thread then
+        # computes alone, but the second has not resumed yet: it must
+        # still see the instant both jobs ended.
+        engine = Engine()
+        cpu = CPU(engine, 2)
+        seen = []
+
+        def first():
+            yield Compute(10)
+            yield Compute(10)
+
+        def second():
+            yield Compute(10)
+            seen.append(engine.now)
+
+        for i, body in enumerate((first, second)):
+            t = engine.spawn(body(), name=f"t{i}")
+            t.cpu = cpu
+        assert engine.run() == 20
+        assert seen == [10]
+
+    def test_run_until_stops_before_the_completion(self):
+        engine = Engine()
+        cpu = CPU(engine, 1)
+
+        def body():
+            yield Compute(10)
+
+        t = engine.spawn(body(), name="u")
+        t.cpu = cpu
+        assert engine.run(until_ns=5) == 5
+        assert cpu.n_runnable == 1
+        assert not t.finished
+        assert engine.run() == 10
+        assert t.finish_time_ns == 10
+
+    def test_daemon_does_not_run_past_the_last_foreground_thread(self):
+        # The foreground thread's job and the daemon's end together; the
+        # run ends there, so the daemon's next job must not complete.
+        engine = Engine()
+        cpu = CPU(engine, 2)
+        done = []
+
+        def fg():
+            yield Compute(10)
+
+        def daemon():
+            for _ in range(3):
+                yield Compute(10)
+                done.append(engine.now)
+
+        for name, body, is_daemon in (("fg", fg, False), ("d", daemon, True)):
+            t = engine.spawn(body(), name=name, daemon=is_daemon)
+            t.cpu = cpu
+        assert engine.run() == 10
+        assert done == [10]
+        assert cpu.n_runnable == 1
+
+
+#: One foreground op: ("compute", ns), ("sleep", ns) or ("wait", k) —
+#: wait for the (k mod i)-th earlier thread to finish (a no-op for the
+#: first thread, so the waits never form a cycle).  Durations start at
+#: 1 ns: the fast engine continues zero-cost commands inline without a
+#: sequence number, so with them the final ``_seq`` would differ.
+_OPS = st.one_of(
+    st.tuples(st.just("compute"), st.integers(1, 30)),
+    st.tuples(st.just("sleep"), st.integers(1, 30)),
+    st.tuples(st.just("wait"), st.integers(0, 7)),
+)
+
+
+@st.composite
+def _mixes(draw):
+    pools = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    pool = st.integers(0, len(pools) - 1)
+    threads = draw(
+        st.lists(
+            st.tuples(pool, st.lists(_OPS, max_size=8)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    # An optional daemon: a few compute/sleep rounds, then it blocks
+    # for good, as kernel daemons do once their work runs out.
+    daemon = draw(
+        st.none()
+        | st.tuples(
+            pool,
+            st.lists(
+                st.tuples(st.integers(1, 30), st.integers(1, 30)),
+                min_size=1,
+                max_size=4,
+            ),
+        )
+    )
+    return pools, threads, daemon
+
+
+def _run_mix(fast, pools, threads, daemon):
+    """Run one mix; return every observable the two engines must share."""
+    engine = Engine(fast=fast)
+    cpus = [CPU(engine, n) for n in pools]
+    log = []
+    spawned = []
+
+    def worker(i, script):
+        for k, (op, arg) in enumerate(script):
+            if op == "compute":
+                yield Compute(arg)
+            elif op == "sleep":
+                yield Sleep(arg)
+            elif i:
+                yield WaitEvent(spawned[arg % i].done_event)
+            log.append((i, k, engine.now))
+
+    def closer():
+        # Waits for everyone, then computes alone on an idle engine:
+        # one run-ahead every mix is sure to take.
+        for t in list(spawned):
+            yield WaitEvent(t.done_event)
+        yield Sleep(1_000_000)
+        yield Compute(7)
+        log.append(("closer", engine.now))
+
+    def background(rounds):
+        for work, nap in rounds:
+            yield Compute(work)
+            yield Sleep(nap)
+            log.append(("daemon", engine.now))
+        yield WaitEvent(OneShotEvent("never"))
+
+    for i, (pool, script) in enumerate(threads):
+        t = engine.spawn(worker(i, script), name=f"t{i}")
+        t.cpu = cpus[pool]
+        spawned.append(t)
+    if daemon is not None:
+        pool, rounds = daemon
+        d = engine.spawn(background(rounds), name="daemon", daemon=True)
+        d.cpu = cpus[pool]
+    last = engine.spawn(closer(), name="closer")
+    last.cpu = cpus[0]
+    end = engine.run()
+    state = [
+        (
+            cpu.busy_cpu_ns,
+            cpu.utilization(),
+            cpu._seq,
+            cpu._timer_version,
+            cpu._service,
+            cpu._last_update,
+            cpu._armed_target,
+            cpu._armed_rate,
+            cpu.n_runnable,
+        )
+        for cpu in cpus
+    ]
+    finishes = [t.finish_time_ns for t in spawned + [last]]
+    return (end, engine._seq, finishes, log, state), engine._n_ahead
+
+
+class TestRunAheadEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(mix=_mixes())
+    def test_fast_engine_matches_heap_only_engine(self, mix):
+        fast, n_ahead = _run_mix(True, *mix)
+        slow, slow_ahead = _run_mix(False, *mix)
+        assert fast == slow
+        assert n_ahead >= 1
+        assert slow_ahead == 0
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("base", [Compute, Sleep])
+    def test_command_subclass_is_unknown(self, base):
+        class Custom(base):
+            __slots__ = ()
+
+        engine = Engine()
+        cpu = CPU(engine, 1)
+
+        def body():
+            yield Custom(10)
+
+        t = engine.spawn(body(), name="custom")
+        t.cpu = cpu
+        with pytest.raises(SimulationError, match="unknown command"):
+            engine.run()
