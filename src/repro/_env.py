@@ -1,13 +1,17 @@
-"""The boolean ``REPRO_*`` environment knobs.
+"""The ``REPRO_*`` environment knobs.
 
 Every on/off knob reads through :func:`env_flag`, so they all accept the
 same two values and reject the rest: a typo such as ``REPRO_PSI=false``
-raises instead of silently turning the knob on.
+raises instead of silently turning the knob on.  The integer and
+enumerated knobs read through :func:`env_int` and :func:`env_choice`
+under the same rule: a value they cannot use raises
+:class:`ConfigError` naming the variable.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -22,3 +26,34 @@ def env_flag(name: str, default: bool) -> bool:
     if value not in ("0", "1"):
         raise ConfigError(f"{name}={raw!r}: expected 0 or 1")
     return value == "1"
+
+
+def env_int(name: str, default: int, minimum: Optional[int] = None) -> int:
+    """The integer knob *name* (surrounding whitespace ignored), *default*
+    when unset; a non-integer, or a value below *minimum*, raises
+    :class:`ConfigError`."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw.strip())
+    except ValueError:
+        raise ConfigError(f"{name}={raw!r}: expected an integer") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name}={raw!r}: expected an integer >= {minimum}")
+    return value
+
+
+def env_choice(name: str, default: str, choices: Tuple[str, ...]) -> str:
+    """The knob *name*: one of *choices* (surrounding whitespace
+    ignored), *default* when unset; any other value raises
+    :class:`ConfigError`."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    value = raw.strip()
+    if value not in choices:
+        raise ConfigError(
+            f"{name}={raw!r}: expected one of {', '.join(choices)}"
+        )
+    return value

@@ -18,9 +18,11 @@ Knobs:
 
 - ``REPRO_TRACE_CACHE`` — cache root directory; ``0``/``off`` disables
   the cache entirely; default ``~/.cache/repro-traces``.
-- ``REPRO_TRACE_CACHE_CAP_MB`` — total size cap (default 512); when the
-  cap is exceeded after a store, the least-recently-used files (mtime
-  order; loads re-touch) are evicted until back under the cap.
+- ``REPRO_TRACE_CACHE_CAP_MB`` — total size cap, an integer (default
+  512; ``0`` or negative means unlimited; anything else raises
+  ``ConfigError``); when the cap is exceeded after a store, the
+  least-recently-used files (mtime order; loads re-touch) are evicted
+  until back under the cap.
 
 Writes are atomic (temp file + ``os.replace``), so concurrent workers
 never observe a torn file; a corrupt or unreadable file is treated as a
@@ -38,6 +40,8 @@ from pathlib import Path
 from typing import Dict, Optional
 
 import numpy as np
+
+from repro._env import env_int
 
 #: Default cache root (under ``$HOME``); override with REPRO_TRACE_CACHE.
 DEFAULT_ROOT = "~/.cache/repro-traces"
@@ -86,12 +90,7 @@ def cache_root() -> Optional[Path]:
 
 def cache_cap_bytes() -> int:
     """The size cap in bytes (values <= 0 mean unlimited)."""
-    raw = os.environ.get("REPRO_TRACE_CACHE_CAP_MB", "")
-    try:
-        cap_mb = int(raw) if raw else DEFAULT_CAP_MB
-    except ValueError:
-        cap_mb = DEFAULT_CAP_MB
-    return cap_mb * (1 << 20)
+    return env_int("REPRO_TRACE_CACHE_CAP_MB", DEFAULT_CAP_MB) * (1 << 20)
 
 
 def _entry_path(root: Path, name: str, key: str) -> Path:

@@ -18,12 +18,11 @@ once per process (and shares it on disk across processes).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro._env import env_flag
+from repro._env import env_flag, env_int
 from repro.core.config import SystemConfig
 from repro.core.experiment import DATASET_SEED
 from repro.fleet.config import FleetConfig, TenantShape, apportion_requests
@@ -137,14 +136,10 @@ def spans_enabled() -> bool:
 
 
 def spans_sample_env() -> int:
-    """The ``REPRO_SPANS_SAMPLE`` head-sampling knob (default 1: keep
-    every fault's full record; aggregates always cover all faults)."""
-    raw = os.environ.get("REPRO_SPANS_SAMPLE", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
+    """The ``REPRO_SPANS_SAMPLE`` head-sampling knob: an integer >= 1
+    (default 1: keep every fault's full record; aggregates always cover
+    all faults)."""
+    return env_int("REPRO_SPANS_SAMPLE", 1, minimum=1)
 
 
 # ----------------------------------------------------------------------

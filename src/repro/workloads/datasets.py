@@ -23,24 +23,24 @@ with a four-level lookup:
 Datasets are plain ``{name: numpy array}`` dicts (all read-only), which
 is what makes them npz- and shm-portable.
 
-Knobs: ``REPRO_DATASET_MEMO`` (default on; ``0``/``legacy`` reverts to
-the pre-fast-lane behavior — a single-slot cache for workloads that
-historically had one, nothing for the rest, and no shm/disk lookups —
-kept as the honest baseline for ``benchmarks/bench_grid.py``) and
-``REPRO_DATASET_SHM`` (default on; gates level 2).
+Knobs: ``REPRO_DATASET_MEMO`` (default ``1``; ``0``/``off``/``legacy``
+reverts to the pre-fast-lane behavior — a single-slot cache for
+workloads that historically had one, nothing for the rest, and no
+shm/disk lookups — kept as the honest baseline for
+``benchmarks/bench_grid.py``; any other value raises ``ConfigError``)
+and ``REPRO_DATASET_SHM`` (default on; gates level 2).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro._env import env_flag
+from repro._env import env_choice, env_flag
 from repro.core import tracecache
 from repro.workloads.shm import ShmDatasetHandle, attach_dataset
 
@@ -116,9 +116,10 @@ _SHM_MANIFEST: Dict[str, ShmDatasetHandle] = {}
 
 
 def memo_mode() -> str:
-    """``"full"`` (default) or ``"legacy"`` (pre-fast-lane behavior)."""
-    raw = os.environ.get("REPRO_DATASET_MEMO", "1").strip().lower()
-    return "legacy" if raw in ("0", "off", "legacy") else "full"
+    """``"full"`` (default, ``REPRO_DATASET_MEMO=1``) or ``"legacy"``
+    (pre-fast-lane behavior: ``0``, ``off`` or ``legacy``)."""
+    raw = env_choice("REPRO_DATASET_MEMO", "1", ("1", "0", "off", "legacy"))
+    return "full" if raw == "1" else "legacy"
 
 
 def shm_enabled() -> bool:
