@@ -2,11 +2,12 @@
 
 Runs the reclaim-dominated cells of the paper grid — PageRank at 50%
 capacity over both devices and both headline policies — and reports
-simulated accesses, faults and evictions per wall-clock second with the
-reclaim fast lane on (triage-block eviction, pooled swap writes, the
-event-engine fast path; the production configuration) and with every
-fast kernel switched to its scalar reference (``fast_off``).  Both
-configurations simulate bit-identical trials (pinned by
+simulated accesses, faults and evictions per wall-clock second in the
+production configuration (``fast_on``) and with the scalar access loop
+on the heap-only engine (``fast_off``: ``REPRO_FAST_ACCESS=0`` and
+``REPRO_FAST_ENGINE=0``).  Reclaim itself (triage-block eviction,
+pooled swap writes) has one kernel, which both configurations run.
+Both simulate bit-identical trials (pinned by
 ``tests/core/test_reclaim_equivalence.py``), so the ratio between them
 is pure mechanical speedup.
 
@@ -82,8 +83,8 @@ PRE_PR_BASELINE = {
     "mglru/zram": {"wall_seconds": 1.4386, "acc_per_sec": 1_987_156},
 }
 
-#: The toggles the fast lane hangs off; all-on is the production path.
-FAST_TOGGLES = ("REPRO_FAST_ACCESS", "REPRO_FAST_RECLAIM", "REPRO_FAST_ENGINE")
+#: The lane toggles ``fast_off`` switches; all-on is the production path.
+FAST_TOGGLES = ("REPRO_FAST_ACCESS", "REPRO_FAST_ENGINE")
 
 
 def _cell_key(cell: dict) -> str:

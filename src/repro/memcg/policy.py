@@ -37,6 +37,7 @@ eviction path a standalone trial uses, now per lruvec.
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Any, Iterator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import ConfigError, SimulationError
@@ -59,30 +60,24 @@ def apportion(total: int, weights: Sequence[int]) -> List[int]:
     w_sum = sum(weights)
     if w_sum <= 0 or total <= 0:
         return [0] * len(weights)
-    shares = [total * w // w_sum for w in weights]
+    scaled = [total * w for w in weights]
+    shares = [s // w_sum for s in scaled]
     remainder = total - sum(shares)
     if remainder:
-        # Largest fractional part first; index breaks ties.
-        order = sorted(
-            range(len(weights)),
-            key=lambda i: (-(total * weights[i] % w_sum), i),
-        )
+        # Largest fractional part first; the sort is stable under
+        # ``reverse``, so ties keep index order.
+        fracs = [s % w_sum for s in scaled]
+        order = sorted(range(len(fracs)), key=fracs.__getitem__, reverse=True)
         for i in order[:remainder]:
             if weights[i] > 0:
                 shares[i] += 1
     return shares
 
 
-def _weigh_soft(cg: "MemCgroup") -> int:
-    return cg.excess_over_soft()
-
-
-def _weigh_low(cg: "MemCgroup") -> int:
-    return cg.excess_over_low()
-
-
-def _weigh_min(cg: "MemCgroup") -> int:
-    return cg.excess_over_min()
+#: Per-pass weights: each is one method call per cgroup.
+_weigh_soft = methodcaller("excess_over_soft")
+_weigh_low = methodcaller("excess_over_low")
+_weigh_min = methodcaller("excess_over_min")
 
 
 def _weigh_usage(cg: "MemCgroup") -> int:

@@ -108,21 +108,16 @@ class ZRAMSwapDevice(SwapDevice):
         if _mx.swap_io is not None:
             _mx.swap_io(lat, 1)
 
-    def write_batch(
-        self, pages: Sequence[Page], fast: bool = True
-    ) -> Iterator[Any]:
+    def write_batch(self, pages: Sequence[Page]) -> Iterator[Any]:
         """Swap-out a whole eviction block in one CPU burst.
 
         Compression work for the block runs back to back on the
         reclaiming CPU: per-page sizes and latencies are drawn in the
-        exact (size, latency) interleave of N serial writes — the two
-        draws share one RNG stream, so there is nothing to vectorize
-        without changing the bit stream; ``fast`` is accepted for
-        interface symmetry.  One ``Compute(sum)`` replaces N events; the
-        pool-limit check runs per page against the bytes the batch has
-        already admitted, matching serial admission order.
+        exact (size, latency) interleave of N serial writes (the two
+        draws share one RNG stream).  One ``Compute(sum)`` replaces N
+        events; the pool-limit check runs per page against the bytes the
+        batch has already admitted, matching serial admission order.
         """
-        del fast  # same kernel either way; see docstring
         sizes = []
         lats = []
         pending = 0

@@ -4,10 +4,12 @@ anything else raises a :class:`ConfigError` naming the variable."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.seedmajor import fast_seeds_enabled
-from repro.core.tracecache import cache_cap_bytes
+from repro.core.tracecache import DEFAULT_ROOT, cache_cap_bytes, cache_root
 from repro.errors import ConfigError
 from repro.fleet.trial import (
     fast_fleet_enabled,
@@ -22,7 +24,6 @@ from tests.conftest import make_small_system
 #: Each knob with its default and a read through the code that uses it.
 KNOBS = [
     ("REPRO_FAST_ACCESS", True, lambda: make_small_system(start=False)[1].fast_access),
-    ("REPRO_FAST_RECLAIM", True, lambda: make_small_system(start=False)[1].fast_reclaim),
     ("REPRO_FAST_ENGINE", True, lambda: Engine()._fast),
     ("REPRO_FAST_SEEDS", True, fast_seeds_enabled),
     ("REPRO_FAST_FLEET", True, fast_fleet_enabled),
@@ -73,6 +74,14 @@ VALUED_KNOBS = [
         "full",
         [("1", "full"), ("0", "legacy"), ("off", "legacy"), (" legacy ", "legacy")],
         ["legacyy", "false", "full", "2", ""],
+    ),
+    (
+        "REPRO_TRACE_CACHE",
+        cache_root,
+        Path(DEFAULT_ROOT).expanduser(),
+        [("0", None), ("OFF", None), (" none ", None), ("Disabled", None),
+         ("/tmp/traces", Path("/tmp/traces")), ("", Path(DEFAULT_ROOT).expanduser())],
+        ["1", "true", "on", "yes", "false", "no", "TRUE", " On ", "Yes"],
     ),
 ]
 

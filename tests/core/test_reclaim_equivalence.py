@@ -1,17 +1,17 @@
-"""Bit-identity of the reclaim fast lane: batched vs scalar kernels.
+"""Bit-identity of a reclaim-heavy trial across the remaining lanes.
 
-The reclaim fast lane — triage-block eviction, pooled swap writes, and
-the event-engine fast path — has a vectorized and a scalar kernel for
-every step, selected by ``REPRO_FAST_ACCESS`` / ``REPRO_FAST_RECLAIM`` /
-``REPRO_FAST_ENGINE``.  The batched kernels must compute identical
-values in identical RNG order, so a full trial must match the scalar
-run to the bit: every :class:`TrialResult` field *and* every
-tracepoint's firing count.
+Reclaim runs one kernel: triage-block eviction and pooled swap writes on
+Python lists.  What it still sits on has two lanes each: the resident
+access loop (``REPRO_FAST_ACCESS``: vectorized or scalar) and the event
+engine (``REPRO_FAST_ENGINE``: with CPU run-ahead and the zero-delay
+deque, or heap-only).  The fast side must compute identical values in
+identical RNG order, so a full all-fast trial must match the scalar
+access loop on the heap-only engine to the bit: every
+:class:`TrialResult` field *and* every tracepoint's firing count.
 
 The only permitted divergence is ``mm_pte_flat_rebuild``, which
-instruments the flat-PTE mirror the fast paths read through — the
-scalar kernels never build it, so its count is mode-dependent by
-design.
+instruments the flat-PTE mirror: the vectorized access loop builds it
+and the scalar loop does not, so its count is mode-dependent by design.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.workloads.tpch import TPCHParams, TPCHWorkload
 #: Tracepoints whose counts may legitimately differ between modes.
 MODE_DEPENDENT = {"mm_pte_flat_rebuild"}
 
-FAST_TOGGLES = ("REPRO_FAST_ACCESS", "REPRO_FAST_RECLAIM", "REPRO_FAST_ENGINE")
+FAST_TOGGLES = ("REPRO_FAST_ACCESS", "REPRO_FAST_ENGINE")
 
 
 @pytest.fixture(autouse=True)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro._units import PAGE_SIZE
 from repro.errors import ConfigError, SimulationError
@@ -121,6 +123,60 @@ class TestApportion:
     def test_total_smaller_than_entries(self):
         shares = apportion(1, [1, 1, 1, 1])
         assert sum(shares) == 1
+
+
+def _spec_apportion(total, weights):
+    """The original largest-remainder implementation, kept as the spec."""
+    w_sum = sum(weights)
+    if w_sum <= 0 or total <= 0:
+        return [0] * len(weights)
+    shares = [total * w // w_sum for w in weights]
+    remainder = total - sum(shares)
+    if remainder:
+        # Largest fractional part first; index breaks ties.
+        order = sorted(
+            range(len(weights)),
+            key=lambda i: (-(total * weights[i] % w_sum), i),
+        )
+        for i in order[:remainder]:
+            if weights[i] > 0:
+                shares[i] += 1
+    return shares
+
+
+_WEIGHT = st.just(0) | st.integers(0, 8) | st.integers(0, 2**40)
+_WEIGHTS = st.one_of(
+    st.lists(_WEIGHT, min_size=1, max_size=40),
+    # Ties: one weight repeated.
+    st.builds(lambda w, n: [w] * n, _WEIGHT, st.integers(1, 40)),
+    # A single positive weight among zeros.
+    st.builds(
+        lambda w, n, at: [w if i == at % n else 0 for i in range(n)],
+        st.integers(1, 2**40),
+        st.integers(1, 40),
+        st.integers(0, 39),
+    ),
+)
+#: Small totals fall below most weight sums, large ones above.
+_TOTALS = st.integers(-2, 64) | st.integers(0, 2**42)
+
+
+class TestApportionProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(total=_TOTALS, weights=_WEIGHTS)
+    @example(total=32, weights=[0, 0, 0])
+    @example(total=5, weights=[7, 7, 7])
+    @example(total=32, weights=[0, 0, 9, 0])
+    @example(total=1000, weights=[3, 1, 1])
+    @example(total=3, weights=[2**40, 2**40 - 1, 1, 0])
+    def test_matches_spec(self, total, weights):
+        shares = apportion(total, weights)
+        assert shares == _spec_apportion(total, weights)
+        if total >= 0 and any(w > 0 for w in weights):
+            assert sum(shares) == total
+        for weight, share in zip(weights, shares):
+            if weight == 0:
+                assert share == 0
 
 
 class TestMemcgPolicyConstruction:
