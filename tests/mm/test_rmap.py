@@ -61,11 +61,14 @@ class TestCostModel:
         spans several pool refills to pin the slice boundaries too."""
         a = make_rmap(seed=42)
         b = make_rmap(seed=42)
+        # Reference: one exponential draw per walk, truncated by int().
+        rng = np.random.default_rng(42)
         sizes = [1, 7, 32, a.JITTER_POOL, a.JITTER_POOL + 3, 256]
         for n in sizes:
             batched = a.walk_costs_ns(n)
-            scalars = np.array([b.walk_cost_ns() for _ in range(n)])
-            assert np.array_equal(batched, scalars)
+            scalars = [b.walk_cost_ns() for _ in range(n)]
+            reference = [int(800 + rng.exponential(500)) for _ in range(n)]
+            assert batched == scalars == reference
         assert a.walk_count == b.walk_count == sum(sizes)
 
     def test_batched_costs_interleave_with_scalar(self):
