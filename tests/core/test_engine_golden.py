@@ -1,4 +1,4 @@
-"""Golden digests of two full trials with trace, metrics and spans on.
+"""Golden digests of three full trials with trace, metrics and spans on.
 
 Each cell is a full-size SSD trial whose app threads often compute
 alone on an idle CPU, so the digests pin the event engine's dispatch
@@ -36,6 +36,7 @@ SEED = 10_004
 CELLS: List[Tuple[str, str, str, float]] = [
     ("ycsb-a", "clock", "ssd", 0.9),
     ("pagerank", "mglru", "ssd", 0.75),
+    ("ycsb-b", "mglru", "ssd", 0.75),
 ]
 
 #: Registry families that count dataset-cache traffic: they depend on
