@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -335,6 +335,19 @@ class PageTable:
             return self._pages[vpn]
         except KeyError:
             raise SimulationError(f"access to unmapped vpn {vpn}") from None
+
+    def lookup_many(self, vpns: Sequence[int]) -> List[Page]:
+        """The pages mapped at *vpns*, in order (raises like
+        :meth:`lookup` if any VPN was never mapped)."""
+        if isinstance(vpns, np.ndarray):
+            # Plain ints hash ~2x faster than numpy scalars.
+            vpns = vpns.tolist()
+        try:
+            return list(map(self._pages.__getitem__, vpns))
+        except KeyError as exc:
+            raise SimulationError(
+                f"access to unmapped vpn {exc.args[0]}"
+            ) from None
 
     def get(self, vpn: int) -> Optional[Page]:
         """Like :meth:`lookup` but returns ``None`` for unmapped VPNs."""

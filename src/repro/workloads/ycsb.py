@@ -135,37 +135,86 @@ class YCSBWorkload(Workload):
         # Request streams are per-trial; the store layout is fixed data.
         key_rng = system.rng.stream("ycsb", "keys", tid)
         op_rng = system.rng.stream("ycsb", "ops", tid)
-        table = system.address_space.page_table
+        lookup_many = system.address_space.page_table.lookup_many
         engine = system.engine
+        # The generator only ever runs inside its own thread's steps.
+        thread = engine.current_thread
+        cpu = thread.cpu
+        stats = system.stats
+        handle_fault = system.handle_fault
+        work = p.request_compute_ns
+        compute = Compute(work)
         read_lat = self._latencies["read"]
         write_lat = self._latencies["write"]
         issued = 0
         while issued < n_mine:
             batch = min(p.batch_size, n_mine - issued)
             keys = self._zipf.sample(key_rng, batch)
-            is_read = op_rng.random(batch) < self.read_fraction
-            index_vpns = self._index_start + self._store.index_pages(keys)
-            item_vpns = self._item_start + self._store.item_pages(keys)
-            for i in range(batch):
-                start = engine.now
+            is_read = (op_rng.random(batch) < self.read_fraction).tolist()
+            index_pages = lookup_many(
+                self._index_start + self._store.index_pages(keys)
+            )
+            item_pages = lookup_many(
+                self._item_start + self._store.item_pages(keys)
+            )
+            i = 0
+            while i < batch:
+                # Where this request's Compute would run ahead, so would
+                # each following request that hits both its pages, up to
+                # the next due event: nothing else runs in between, so
+                # one CPU call completes the whole stretch, and each
+                # request's latency is its own job's replayed delay.
+                room = cpu.ahead_bound() - engine._now
+                if room >= work > 0:
+                    end = min(batch, i + room // work)
+                    j = i
+                    while (
+                        j < end
+                        and index_pages[j].present
+                        and item_pages[j].present
+                    ):
+                        j += 1
+                    if j > i:
+                        delays = cpu.run_ahead(thread, work, j - i)
+                        if delays:
+                            k = len(delays)
+                            thread.compute_requested_ns += k * work
+                            stats.hits += 2 * k
+                            for delay, index_page, item_page, read in zip(
+                                delays,
+                                index_pages[i:j],
+                                item_pages[i:j],
+                                is_read[i:j],
+                            ):
+                                index_page.accessed = True
+                                item_page.accessed = True
+                                if read:
+                                    read_lat.append(delay)
+                                else:
+                                    item_page.dirty = True
+                                    write_lat.append(delay)
+                            i += k
+                            continue
+                start = engine._now
                 write = not is_read[i]
-                yield Compute(p.request_compute_ns)
+                yield compute
                 # Hash-table lookup, then the item itself.
-                page = table.lookup(index_vpns[i])
+                page = index_pages[i]
                 if page.present:
-                    system.stats.hits += 1
+                    stats.hits += 1
                     page.accessed = True
                 else:
-                    yield from system.handle_fault(page, False)
-                page = table.lookup(item_vpns[i])
+                    yield from handle_fault(page, False)
+                page = item_pages[i]
                 if page.present:
-                    system.stats.hits += 1
+                    stats.hits += 1
                     page.accessed = True
                     if write:
                         page.dirty = True
                 else:
-                    yield from system.handle_fault(page, write)
-                (write_lat if write else read_lat).append(engine.now - start)
+                    yield from handle_fault(page, write)
+                (write_lat if write else read_lat).append(engine._now - start)
+                i += 1
             issued += batch
         self._requests_done += issued
         return issued

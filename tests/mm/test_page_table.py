@@ -53,6 +53,23 @@ class TestPageTable:
     def test_get_returns_none_for_unmapped(self):
         assert PageTable().get(5) is None
 
+    def test_lookup_many_matches_lookup_without_a_flat_view(self):
+        table = PageTable()
+        for vpn in (3, 4, 900):
+            table.map_page(Page(vpn))
+        vpns = np.array([900, 3, 3, 4], dtype=np.int64)
+        pages = table.lookup_many(vpns)
+        assert pages == [table.lookup(v) for v in vpns.tolist()]
+        assert table.lookup_many([4]) == [table.lookup(4)]
+        # Mirror builds are traced, so a dict lookup must not make one.
+        assert table._flat is None
+
+    def test_lookup_many_unmapped_raises(self):
+        table = PageTable()
+        table.map_page(Page(1))
+        with pytest.raises(SimulationError, match="unmapped vpn 2"):
+            table.lookup_many(np.array([1, 2]))
+
     def test_double_map_rejected(self):
         table = PageTable()
         table.map_page(Page(1))
