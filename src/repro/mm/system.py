@@ -7,8 +7,9 @@ threads drive:
 
 - :meth:`access_run` — the batched hot path: touch a sequence of VPNs,
   accumulating compute and faulting as needed;
-- :meth:`access` — a single access (used for request-level latency
-  measurements, e.g. YCSB).
+- :meth:`handle_fault` — make one non-resident page resident (request
+  loops such as YCSB's test presence and set the PTE bits themselves,
+  and call it on a miss).
 
 It also owns the kswapd background-reclaim daemon and the eviction
 mechanics (:meth:`evict_page`) that policies call from their reclaim
@@ -317,17 +318,6 @@ class MemorySystem:
         stats.hits += hits
         if tail_pending:
             yield Compute(tail_pending)
-
-    def access(self, vpn: int, write: bool = False) -> Iterator[Any]:
-        """Touch a single VPN (request-latency measurement path)."""
-        page = self.address_space.page_table.lookup(vpn)
-        if page.present:
-            self.stats.hits += 1
-            page.accessed = True
-            if write:
-                page.dirty = True
-            return
-        yield from self.handle_fault(page, write)
 
     # ------------------------------------------------------------------
     # Fault handling
