@@ -1,14 +1,16 @@
-"""Seed-major fast lane: bit-identity, fallback, layout prepass, runner.
+"""Seed-major fast lane: runner digests, layout prepass, runner.
 
-The contract under test is the strongest the repo makes: with
-``REPRO_FAST_SEEDS`` on, a cell's seed-stacked execution produces
-*bit-identical* ``TrialResult``s to N independent scalar runs — across
-every policy family — and the parallel runner (seed-chunk tasks plus
+The contract under test is the strongest the repo makes: a cell's
+trials hash to committed digests across every policy family, serial
+and with ``jobs=2``, and the parallel runner (seed-chunk tasks plus
 shared-memory datasets) reproduces the serial results exactly, with
 sharing on or off.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from repro.core.seedmajor import (
     SeedMajorCell,
     chunk_seeds,
     plan_cell,
-    run_cell_trials,
 )
 from repro.sim.rng import RngTree
 from repro.workloads.pagerank import PageRankParams, PageRankWorkload
@@ -56,41 +57,38 @@ def config(policy="clock", ratio=0.5):
     return SystemConfig(policy=policy, swap="zram", capacity_ratio=ratio)
 
 
-def scalar_reference(workload, cfg, monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_SEEDS", "0")
-    trials = [run_trial(workload, cfg, seed) for seed in SEEDS]
-    monkeypatch.delenv("REPRO_FAST_SEEDS")
-    return trials
+def digest(result):
+    """SHA-256 over a cell's trials, as :meth:`TrialResult.to_dict` dicts."""
+    trials = [trial.to_dict() for trial in result.trials]
+    return hashlib.sha256(
+        json.dumps(trials, sort_keys=True).encode()
+    ).hexdigest()
 
 
-class TestBitIdentity:
-    @pytest.mark.parametrize(
-        "policy", ["clock", "mglru", "fifo", "random", "opt"]
-    )
-    def test_stacked_equals_scalar_per_policy(self, policy, monkeypatch):
-        """Seed-stacked execution vs per-seed scalar, under reclaim
-        pressure (ratio 0.5) so the policy actually evicts."""
-        cfg = config(policy)
-        reference = scalar_reference("pagerank", cfg, monkeypatch)
-        fast = run_cell_trials("pagerank", cfg, SEEDS)
-        assert fast == reference
+#: Digests of the tiny PageRank cell at seeds 41-43 on zram@0.5, one per
+#: policy.  Serial and ``jobs=2`` runs of the cell must both match.
+RUNNER_DIGESTS = {
+    "clock": "5e09f2d479ef179b4c3d747ae9c57694e0ff7a68cd67a96abe6fcd3a4671fb30",
+    "mglru": "af2c46d778e9781445dd874f5bc432b24385a78f4b33eb8a19eaa6a420a008ce",
+    "fifo": "8c8c411be234d7db696246879557af4ac997062c7fffcf2c86229c68f3e4611a",
+    "random": "cad15bd8a88eb4dfff9f8e86c0a2746cff2becc635c6a4b220caecdb96ac2f36",
+    "opt": "f3c18b7c8cff1a219eb871afaf53abc5234046e49389d933426921c6460bb4d4",
+}
 
-    def test_fallback_workload_matches_scalar(self, monkeypatch):
-        """TPC-H has per-trial dynamic draws, declares no plan, and must
-        fall back to the scalar path inside run_cell_trials."""
-        cfg = config("mglru")
-        assert plan_cell("tpch", SEEDS) is None
-        reference = scalar_reference("tpch", cfg, monkeypatch)
-        assert run_cell_trials("tpch", cfg, SEEDS) == reference
 
-    def test_knob_disables_stacking(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_SEEDS", "0")
-        assert plan_cell("pagerank", SEEDS) is None
-        monkeypatch.setenv("REPRO_FAST_SEEDS", "1")
-        assert plan_cell("pagerank", SEEDS) is not None
-
-    def test_single_seed_cell_not_stacked(self):
-        assert plan_cell("pagerank", [41]) is None
+class TestRunnerDigests:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("policy", sorted(RUNNER_DIGESTS))
+    def test_cell_digest(self, policy, jobs):
+        """Under reclaim pressure (ratio 0.5), so the policy evicts."""
+        cell = ExperimentConfig(
+            workload="pagerank", system=config(policy),
+            n_trials=len(SEEDS), base_seed=SEEDS[0],
+        )
+        with ExperimentRunner(jobs=jobs) as runner:
+            result = runner.run(cell)
+        assert [trial.seed for trial in result.trials] == SEEDS
+        assert digest(result) == RUNNER_DIGESTS[policy]
 
 
 class TestLayoutPrepass:
