@@ -1,16 +1,16 @@
-"""Grid fast-lane benchmark: multi-seed multi-worker wall clock.
+"""Grid dataset-sharing benchmark: multi-seed multi-worker wall clock.
 
 Runs a reference grid — a dataset-heavy PageRank under both headline
 policies at a memory-sufficient ratio, six seeds, two workers — end to
-end through ``ExperimentRunner.run_many`` in three fresh subprocesses:
+end through ``ExperimentRunner.run_many`` in three fresh subprocesses.
+Every mode runs the same seed-chunk pool tasks; they differ only in how
+datasets reach the workers:
 
-- ``baseline``: the pre-PR path.  ``REPRO_FAST_SEEDS=0`` (one pool task
-  per seed, no seed-major stacking), ``REPRO_DATASET_SHM=0``,
-  ``REPRO_DATASET_MEMO=legacy`` (each worker rebuilds datasets, with
-  only the historical single-slot cache), ``REPRO_TRACE_CACHE=off``.
-- ``cold``: the production fast lane against an empty on-disk trace
-  cache — seed-chunk tasks, shared-memory datasets, cache misses that
-  populate the cache.
+- ``baseline``: no dataset sharing.  ``REPRO_DATASET_SHM=0`` (no
+  shared-memory export, so each worker builds the datasets it needs)
+  and ``REPRO_TRACE_CACHE=off`` (no on-disk cache).
+- ``cold``: the production path against an empty on-disk trace cache —
+  shared-memory datasets, cache misses that populate the cache.
 - ``warm``: the same command against the now-populated cache — the
   steady state of iterating on a grid.
 
@@ -63,18 +63,14 @@ import tempfile
 import time
 
 #: Env forced per mode.  ``None`` means "remove": the child then runs
-#: the production defaults (fast seeds on, shm on, full memo).
+#: the production default (shm on).
 MODE_ENV = {
     "baseline": {
-        "REPRO_FAST_SEEDS": "0",
         "REPRO_DATASET_SHM": "0",
-        "REPRO_DATASET_MEMO": "legacy",
         "REPRO_TRACE_CACHE": "off",
     },
     "cold": {
-        "REPRO_FAST_SEEDS": None,
         "REPRO_DATASET_SHM": None,
-        "REPRO_DATASET_MEMO": None,
         # REPRO_TRACE_CACHE is set per round to the round's temp dir.
     },
 }
@@ -237,8 +233,8 @@ def _check_baseline(
         print(
             f"FAIL: grid {label} regressed more than {tolerance:.0%} vs "
             f"{baseline_path} in {mode} mode.  If the drop is expected and "
-            "understood, regenerate the baseline; otherwise fix the fast "
-            "lane.  (--no-check skips this gate.)",
+            "understood, regenerate the baseline; otherwise fix the "
+            "dataset-sharing path.  (--no-check skips this gate.)",
             file=sys.stderr,
         )
         return 1
@@ -271,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         "--iterations", type=int, default=1,
         help="pagerank-grid iterations; few iterations over a large "
         "graph keeps the dataset-to-simulation cost ratio at full-grid "
-        "scale (default 2)",
+        "scale (default 1)",
     )
     parser.add_argument(
         "--ratio", type=float, default=1.1,

@@ -4,7 +4,10 @@
 system, policy, swap device, workload — for every execution, the
 simulator analogue of the paper's per-execution reboot (§IV).  The
 :class:`ExperimentRunner` repeats trials across seeds and caches cells
-so figure generators can share measurements.
+so figure generators can share measurements; with ``REPRO_JOBS`` > 1 it
+ships each cell to a process pool as seed-chunk tasks
+(:func:`run_cell_trials`) that attach the parent's shared-memory
+datasets.
 """
 
 from __future__ import annotations
@@ -14,15 +17,10 @@ import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.config import ExperimentConfig, SystemConfig
 from repro.core.results import ExperimentResult, TrialResult
-from repro.core.seedmajor import (
-    chunk_seeds,
-    fast_seeds_enabled,
-    run_cell_trials,
-)
 from repro.metrics.config import MetricsConfig
 from repro.metrics.session import MetricsSession
 from repro.mm.system import MemorySystem
@@ -34,7 +32,8 @@ from repro.spans.recorder import SpanRecorder
 from repro.swapdev import SSDSwapDevice, ZRAMSwapDevice
 from repro.trace.config import TraceConfig
 from repro.trace.session import TraceSession
-from repro.workloads import make_workload
+from repro.workloads import datasets, make_workload
+from repro.workloads.base import chunk_bounds
 
 
 def build_system(
@@ -76,9 +75,6 @@ def run_trial(
     trace: Optional[TraceConfig] = None,
     metrics: Optional[MetricsConfig] = None,
     spans: Optional[SpansConfig] = None,
-    *,
-    _seed_cell: Optional[Any] = None,
-    _seed_row: int = 0,
 ) -> TrialResult:
     """One full workload execution on a fresh simulator.
 
@@ -92,12 +88,6 @@ def run_trial(
     slots and the finished :class:`~repro.spans.SpanTable` comes back
     on ``TrialResult.spans``.  Probes and recorders are passive, so
     traced/metered/spanned trials are bit-identical to bare ones.
-
-    ``_seed_cell``/``_seed_row`` are the seed-major fast lane's private
-    context (see :mod:`repro.core.seedmajor`): this trial is row
-    *_seed_row* of the cell, its workload reads the pre-stacked trace
-    rows and its PTE bits live in the cell's stacked arrays.  Results
-    are bit-identical with or without a cell bound.
     """
     engine = Engine()
     rng = RngTree(seed)
@@ -108,16 +98,10 @@ def run_trial(
     if metrics is not None and metrics.enabled:
         cache_baseline = MetricsSession.snapshot_cache_stats()
     workload = make_workload(workload_name)
-    if _seed_cell is not None:
-        workload.bind_seed_major(_seed_cell, _seed_row)
     dataset_rng = RngTree(DATASET_SEED).subtree("dataset", workload_name)
     footprint = workload.prepare(dataset_rng)
     capacity = max(64, int(footprint * system_config.capacity_ratio))
     system = build_system(engine, rng, system_config, capacity)
-    if _seed_cell is not None:
-        system.address_space.page_table.use_stacked_row(
-            _seed_cell.bits(), _seed_row
-        )
     session: Optional[TraceSession] = None
     if trace is not None and trace.enabled:
         session = TraceSession(trace, system)
@@ -138,8 +122,6 @@ def run_trial(
             )
     try:
         workload.setup(system)
-        if _seed_cell is not None:
-            _seed_cell.verify_layout(system.address_space, _seed_row)
         system.start()
         workload.spawn(system)
         runtime_ns = engine.run()
@@ -214,6 +196,49 @@ def run_trial(
     )
 
 
+def run_cell_trials(
+    workload_name: str,
+    system_config: SystemConfig,
+    seeds: Sequence[int],
+    trace: Optional[TraceConfig] = None,
+    metrics: Optional[MetricsConfig] = None,
+    shm_manifest: Optional[Dict[str, Any]] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> List[TrialResult]:
+    """Run the trials of one cell (a seed chunk), in seed order.
+
+    This is the pool task of a parallel cell: it installs the parent's
+    shared-memory dataset manifest (if any) and runs each seed's trial,
+    so its result equals ``[run_trial(...) for seed in seeds]``.
+    """
+    if shm_manifest:
+        datasets.install_shm_manifest(shm_manifest)
+    trials = []
+    for row, seed in enumerate(seeds):
+        if progress is not None:
+            progress(row, seed)
+        trials.append(
+            run_trial(workload_name, system_config, seed, trace, metrics)
+        )
+    return trials
+
+
+def chunk_seeds(seeds: Sequence[int], jobs: int) -> List[List[int]]:
+    """Split *seeds* into at most *jobs* contiguous chunks (cell tasks).
+
+    Contiguous chunks keep seed order within each task, so assembling
+    task results in submission order reproduces the serial seed order.
+    """
+    seeds = list(seeds)
+    n_chunks = max(1, min(len(seeds), jobs))
+    chunks = []
+    for i in range(n_chunks):
+        lo, hi = chunk_bounds(len(seeds), n_chunks, i)
+        if hi > lo:
+            chunks.append(seeds[lo:hi])
+    return chunks
+
+
 @lru_cache(maxsize=None)
 def _parse_jobs(raw: str) -> int:
     """Parse one ``REPRO_JOBS`` value; memoized per distinct raw string
@@ -243,10 +268,11 @@ class ExperimentRunner:
     """Runs experiment cells with caching and optional progress callbacks.
 
     ``jobs`` (default: the ``REPRO_JOBS`` env var, itself defaulting to
-    1) fans trials out over a process pool.  Each trial is an
-    independent ``run_trial(workload, system, seed)`` call with seeds
-    derived exactly as in the serial loop, and results are assembled in
-    seed order — serial and parallel runs produce identical
+    1) fans each cell's seeds out over a process pool as contiguous
+    seed-chunk tasks.  Each trial is an independent
+    ``run_trial(workload, system, seed)`` call with seeds derived exactly
+    as in the serial loop, and results are assembled in seed order —
+    serial and parallel runs produce identical
     :class:`ExperimentResult`\\ s.
     """
 
@@ -266,7 +292,7 @@ class ExperimentRunner:
         self._pool: Optional[ProcessPoolExecutor] = None
         self.telemetry = telemetry
         #: Shared-memory dataset server (parent side); created lazily on
-        #: the first parallel fast-lane dispatch, torn down by close().
+        #: the first parallel dispatch, torn down by close().
         self._shm_server: Optional[Any] = None
         self._shm_prepared: set = set()
 
@@ -334,9 +360,9 @@ class ExperimentRunner:
         own memo/disk cache), exports every memoized dataset, and reuses
         segments across calls.
         """
-        from repro.workloads import datasets, make_workload, shm
+        from repro.workloads import shm
 
-        if not datasets.shm_enabled() or datasets.memo_mode() == "legacy":
+        if not datasets.shm_enabled():
             return None
         for name in {config.workload for config in configs}:
             if name in self._shm_prepared:
@@ -403,28 +429,11 @@ class ExperimentRunner:
         if cached is not None:
             return cached
         seeds = list(config.seeds())
-        trials: List[TrialResult] = []
-        if self.jobs > 1 and len(seeds) > 1 and fast_seeds_enabled():
-            # Fast lane: seed-chunk tasks sharing datasets over shm.
+        if self.jobs > 1 and len(seeds) > 1:
             manifest = self._dataset_manifest([config])
             trials = self._collect_cell(
                 config, self._submit_cell(config, seeds, manifest)
             )
-        elif self.jobs > 1 and len(seeds) > 1:
-            # Historical scheduling (REPRO_FAST_SEEDS=0): one task per
-            # seed, no dataset sharing beyond each worker's own state.
-            futures = [
-                self._ensure_pool().submit(
-                    run_trial, config.workload, config.system, seed,
-                    config.trace, config.metrics,
-                )
-                for seed in seeds
-            ]
-            for i, future in enumerate(futures):
-                trial = future.result()
-                trials.append(trial)
-                self._observe(config, trial)
-                self._note(f"{config.label} trial {i + 1}/{config.n_trials}")
         else:
             def progress(row: int, _seed: int) -> None:
                 self._note(
@@ -446,57 +455,35 @@ class ExperimentRunner:
     ) -> List[ExperimentResult]:
         """Run several cells, fanning *all* their trials over the pool.
 
-        With ``jobs > 1`` every (cell, seed) pair is submitted up front
-        so the pool never drains between cells; results are assembled in
-        submission order, identical to running each cell serially.
+        With ``jobs > 1`` every cell's seed-chunk tasks are submitted up
+        front so the pool never drains between cells; results are
+        assembled in submission order, identical to running each cell
+        serially.
         """
         configs = list(configs)
         if self.jobs <= 1:
             return [self.run(config) for config in configs]
-        if fast_seeds_enabled():
-            fresh = []
-            seen: set = set()
-            for config in configs:
-                key = self._key(config)
-                if key in self._cache or key in seen:
-                    continue
-                seen.add(key)
-                fresh.append(config)
-            manifest = self._dataset_manifest(fresh) if fresh else None
-            pending_cells: Dict[tuple, tuple] = {}
-            for config in fresh:
-                seeds = list(config.seeds())
-                if len(seeds) > 1:
-                    futures = self._submit_cell(config, seeds, manifest)
-                    pending_cells[self._key(config)] = (config, futures)
-            for key, (config, futures) in pending_cells.items():
-                self._cache[key] = self._assemble(
-                    config, self._collect_cell(config, futures)
-                )
-            # Single-seed cells (nothing to fan out) run inline.
-            return [self.run(config) for config in configs]
-        pending: Dict[tuple, tuple] = {}
+        fresh = []
+        seen: set = set()
         for config in configs:
             key = self._key(config)
-            if key in self._cache or key in pending:
+            if key in self._cache or key in seen:
                 continue
-            futures: List[Future] = [
-                self._ensure_pool().submit(
-                    run_trial, config.workload, config.system, seed,
-                    config.trace, config.metrics,
-                )
-                for seed in config.seeds()
-            ]
-            pending[key] = (config, futures)
+            seen.add(key)
+            fresh.append(config)
+        manifest = self._dataset_manifest(fresh) if fresh else None
+        pending: Dict[tuple, tuple] = {}
+        for config in fresh:
+            seeds = list(config.seeds())
+            if len(seeds) > 1:
+                futures = self._submit_cell(config, seeds, manifest)
+                pending[self._key(config)] = (config, futures)
         for key, (config, futures) in pending.items():
-            trials = []
-            for i, future in enumerate(futures):
-                trial = future.result()
-                trials.append(trial)
-                self._observe(config, trial)
-                self._note(f"{config.label} trial {i + 1}/{config.n_trials}")
-            self._cache[key] = self._assemble(config, trials)
-        return [self._cache[self._key(config)] for config in configs]
+            self._cache[key] = self._assemble(
+                config, self._collect_cell(config, futures)
+            )
+        # Single-seed cells (nothing to fan out) run inline.
+        return [self.run(config) for config in configs]
 
     def run_grid(
         self,

@@ -150,12 +150,6 @@ class MemcgPolicy(ReplacementPolicy):
         if write:
             flat.dirty[idx] = True
 
-    def on_batch_access_stacked(self, stack, row, flat, idx, write) -> None:
-        # Same PTE-bit stores, along the leading seed axis of the cell.
-        stack.accessed[row, idx] = True
-        if write:
-            stack.dirty[row, idx] = True
-
     def make_shadow(self, page: "Page") -> ShadowEntry:
         return page.memcg.policy.make_shadow(page)
 

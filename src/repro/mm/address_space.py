@@ -22,26 +22,6 @@ from repro.mm.page_table import PageTable
 ASLR_MAX_GAP_REGIONS = 64
 
 
-def place_area(
-    next_free_vpn: int, aslr_rng=None, align_region: bool = True
-) -> int:
-    """Start VPN for the next area mapped after *next_free_vpn*.
-
-    One ``integers`` draw per area when *aslr_rng* is given.  This is
-    the single source of truth for area placement: ``map_area`` uses it,
-    and the seed-major layout prepass (:mod:`repro.core.seedmajor`)
-    replays it per seed to predict every trial's VMA bases exactly.
-    """
-    start = next_free_vpn
-    if aslr_rng is not None:
-        start += PTES_PER_REGION * int(
-            aslr_rng.integers(0, ASLR_MAX_GAP_REGIONS + 1)
-        )
-    if align_region and start % PTES_PER_REGION:
-        start += PTES_PER_REGION - (start % PTES_PER_REGION)
-    return start
-
-
 @dataclass(frozen=True)
 class VMArea:
     """A contiguous mapped range of virtual pages."""
@@ -114,7 +94,13 @@ class AddressSpace:
         """
         if name in self._vmas:
             raise WorkloadError(f"VMA {name!r} already mapped")
-        start = place_area(self._next_free_vpn, self._aslr_rng, align_region)
+        start = self._next_free_vpn
+        if self._aslr_rng is not None:
+            start += PTES_PER_REGION * int(
+                self._aslr_rng.integers(0, ASLR_MAX_GAP_REGIONS + 1)
+            )
+        if align_region and start % PTES_PER_REGION:
+            start += PTES_PER_REGION - (start % PTES_PER_REGION)
         vma = VMArea(name, start, n_pages, kind, entropy)
         for vpn in range(start, start + n_pages):
             page = Page(vpn, kind=kind, entropy=entropy)

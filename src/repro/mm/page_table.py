@@ -25,38 +25,6 @@ from repro.mm.page import Page
 from repro.trace import tracepoints as _tp
 
 
-class StackedPTEBits:
-    """Seed-stacked PTE bits: one ``(n_seeds, n_pages)`` array per bit.
-
-    The seed-major cell runner (:mod:`repro.core.seedmajor`) allocates
-    one of these per cell; trial *s* of the cell then uses row *s* as
-    the authoritative storage behind its :class:`PTEFlatState` — scalar
-    ``Page`` property reads/writes and the vectorized access path all
-    land in the stacked arrays, and policies whose access bookkeeping is
-    pure PTE bits update the 2-D arrays directly through
-    ``on_batch_access_stacked``.
-    """
-
-    __slots__ = ("present", "accessed", "dirty")
-
-    def __init__(self, n_seeds: int, n_pages: int) -> None:
-        self.present = np.zeros((n_seeds, n_pages), dtype=bool)
-        self.accessed = np.zeros((n_seeds, n_pages), dtype=bool)
-        self.dirty = np.zeros((n_seeds, n_pages), dtype=bool)
-
-    @property
-    def n_seeds(self) -> int:
-        return int(self.present.shape[0])
-
-    @property
-    def n_pages(self) -> int:
-        return int(self.present.shape[1])
-
-    def row_views(self, row: int) -> tuple:
-        """The ``(present, accessed, dirty)`` 1-D views of seed *row*."""
-        return self.present[row], self.accessed[row], self.dirty[row]
-
-
 class PTEFlatState:
     """Dense, vectorizable mirror of every mapped PTE's state.
 
@@ -80,8 +48,6 @@ class PTEFlatState:
         "run_starts",
         "run_lens",
         "run_base",
-        "stack",
-        "stack_row",
         "_memo",
     )
 
@@ -95,8 +61,6 @@ class PTEFlatState:
         run_starts: np.ndarray,
         run_lens: np.ndarray,
         run_base: np.ndarray,
-        stack: Optional[StackedPTEBits] = None,
-        stack_row: int = 0,
     ) -> None:
         self.pages = pages
         self.vpns = vpns
@@ -106,11 +70,6 @@ class PTEFlatState:
         self.run_starts = run_starts
         self.run_lens = run_lens
         self.run_base = run_base
-        #: When this flat state is one seed row of a seed-major cell,
-        #: ``stack`` is the cell's :class:`StackedPTEBits` and the bit
-        #: arrays above are views of ``stack.*[stack_row]``.
-        self.stack = stack
-        self.stack_row = stack_row
         #: id(trace) → (weakref, indices): workloads replay the same
         #: trace arrays every iteration, so translation is memoized.  The
         #: weakref guards against id reuse after deallocation; traces
@@ -230,22 +189,6 @@ class PageTable:
         self._pages: dict[int, Page] = {}
         self._flat: Optional[PTEFlatState] = None
         self._flat_stale = False
-        self._stack: Optional[StackedPTEBits] = None
-        self._stack_row = 0
-
-    def use_stacked_row(self, stack: StackedPTEBits, row: int) -> None:
-        """Back this table's flat PTE bits with row *row* of *stack*.
-
-        Must be called before the first :meth:`flat_view` (the seed-major
-        runner does so right after system construction); the next flat
-        build then adopts ``stack.*[row]`` as the authoritative bit
-        arrays instead of allocating fresh ones.
-        """
-        if not 0 <= row < stack.n_seeds:
-            raise SimulationError(f"stacked PTE row {row} out of range")
-        self._stack = stack
-        self._stack_row = row
-        self._flat_stale = self._flat is not None
 
     # ------------------------------------------------------------------
     # Construction
@@ -282,18 +225,9 @@ class PageTable:
         n = len(page_list)
         pages = np.empty(n, dtype=object)
         vpns = np.empty(n, dtype=np.int64)
-        stack = self._stack
-        if stack is not None:
-            if stack.n_pages != n:
-                raise SimulationError(
-                    f"stacked PTE bits sized for {stack.n_pages} pages, "
-                    f"table has {n}"
-                )
-            present, accessed, dirty = stack.row_views(self._stack_row)
-        else:
-            present = np.empty(n, dtype=bool)
-            accessed = np.empty(n, dtype=bool)
-            dirty = np.empty(n, dtype=bool)
+        present = np.empty(n, dtype=bool)
+        accessed = np.empty(n, dtype=bool)
+        dirty = np.empty(n, dtype=bool)
         for i, page in enumerate(page_list):
             pages[i] = page
             vpns[i] = page.vpn
@@ -314,7 +248,6 @@ class PageTable:
         flat = PTEFlatState(
             pages, vpns, present, accessed, dirty,
             run_starts, run_lens, run_base,
-            stack=stack, stack_row=self._stack_row,
         )
         for i, page in enumerate(page_list):
             page._flat = flat

@@ -268,18 +268,7 @@ class MemorySystem:
         stats = self.stats
         quantum = self.compute_quantum_ns
         overhead = self.costs.fault_overhead_ns
-        stack = flat.stack
-        if stack is None:
-            on_batch = self.policy.on_batch_access
-        else:
-            # Seed-major cell: route batch hits through the stacked hook
-            # so policies store PTE bits along the leading seed axis.
-            row = flat.stack_row
-            on_batch_stacked = self.policy.on_batch_access_stacked
-
-            def on_batch(f, seg_idx, wr):
-                on_batch_stacked(stack, row, f, seg_idx, wr)
-
+        on_batch = self.policy.on_batch_access
         handle_fault = self.handle_fault
         present = flat.present
         pages = flat.pages

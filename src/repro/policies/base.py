@@ -96,22 +96,6 @@ class ReplacementPolicy(abc.ABC):
             if write:
                 page.dirty = True
 
-    def on_batch_access_stacked(
-        self, stack: "Any", row: int, flat: "PTEFlatState", idx: "Any",
-        write: bool,
-    ) -> None:
-        """Seed-major form of :meth:`on_batch_access`: the accessed run
-        belongs to seed *row* of a cell whose PTE bits live in the
-        ``(n_seeds, n_pages)`` arrays of *stack* (a
-        :class:`~repro.mm.page_table.StackedPTEBits`).
-
-        ``flat``'s bit arrays are views of ``stack.*[row]``, so the
-        default — delegating to :meth:`on_batch_access` — is always
-        correct; policies whose bookkeeping is pure PTE bits override
-        with direct stores along the leading seed axis.
-        """
-        self.on_batch_access(flat, idx, write)
-
     @abc.abstractmethod
     def make_shadow(self, page: "Page") -> ShadowEntry:
         """Snapshot policy state for *page* at eviction time."""

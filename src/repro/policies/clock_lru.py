@@ -75,12 +75,6 @@ class ClockLRUPolicy(ReplacementPolicy):
         if write:
             flat.dirty[idx] = True
 
-    def on_batch_access_stacked(self, stack, row, flat, idx, write) -> None:
-        # Same PTE-bit stores, along the leading seed axis of the cell.
-        stack.accessed[row, idx] = True
-        if write:
-            stack.dirty[row, idx] = True
-
     def _refault_within_workingset(self, shadow: ShadowEntry) -> bool:
         """Kernel workingset test: refault distance vs. resident set."""
         distance = self._evict_clock - shadow.policy_clock

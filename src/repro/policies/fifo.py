@@ -39,12 +39,6 @@ class FIFOPolicy(ReplacementPolicy):
         if write:
             flat.dirty[idx] = True
 
-    def on_batch_access_stacked(self, stack, row, flat, idx, write) -> None:
-        # Same PTE-bit stores, along the leading seed axis of the cell.
-        stack.accessed[row, idx] = True
-        if write:
-            stack.dirty[row, idx] = True
-
     def make_shadow(self, page: Page) -> ShadowEntry:
         self._evict_clock += 1
         assert self.system is not None

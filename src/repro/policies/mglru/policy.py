@@ -148,12 +148,6 @@ class MGLRUPolicy(ReplacementPolicy):
         if write:
             flat.dirty[idx] = True
 
-    def on_batch_access_stacked(self, stack, row, flat, idx, write) -> None:
-        # Same PTE-bit stores, along the leading seed axis of the cell.
-        stack.accessed[row, idx] = True
-        if write:
-            stack.dirty[row, idx] = True
-
     def make_shadow(self, page: Page) -> ShadowEntry:
         assert self.system is not None
         self.tiers.record_eviction(page.tier)

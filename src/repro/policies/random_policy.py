@@ -53,12 +53,6 @@ class RandomPolicy(ReplacementPolicy):
         if write:
             flat.dirty[idx] = True
 
-    def on_batch_access_stacked(self, stack, row, flat, idx, write) -> None:
-        # Same PTE-bit stores, along the leading seed axis of the cell.
-        stack.accessed[row, idx] = True
-        if write:
-            stack.dirty[row, idx] = True
-
     def _remove(self, page: Page) -> None:
         pos = self._index.pop(page.vpn)
         last = self._pages.pop()

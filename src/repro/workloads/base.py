@@ -54,11 +54,6 @@ class Workload(abc.ABC):
     def __init__(self) -> None:
         self._prepared = False
         self._footprint_pages: Optional[int] = None
-        #: Seed-major execution context, bound by the cell runner when
-        #: this trial is one row of a seed-stacked cell (see
-        #: :mod:`repro.core.seedmajor`).
-        self._seed_cell: Optional[Any] = None
-        self._seed_row: int = 0
 
     # ------------------------------------------------------------------
     # Life cycle
@@ -83,30 +78,6 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def thread_body(self, system: MemorySystem, tid: int) -> Iterator[Any]:
         """The generator run by application thread *tid*."""
-
-    # ------------------------------------------------------------------
-    # Seed-major execution (optional)
-    # ------------------------------------------------------------------
-
-    def seed_major_plan(self) -> Optional[Any]:
-        """Declare this workload's seed-stacked execution plan, if any.
-
-        Called after :meth:`prepare`.  Workloads whose per-trial access
-        sequence is a deterministic function of the dataset plus the
-        trial's VMA bases return a :class:`repro.core.seedmajor.
-        SeedMajorPlan`; the cell runner then materializes the VPN traces
-        for *all seeds of a cell* as ``(n_seeds, n)`` stacked arrays in
-        one vectorized pass.  Workloads with per-trial dynamic draws in
-        the access stream (TPC-H probes, YCSB requests) return ``None``
-        — the default — and run per-seed scalar, which is always
-        bit-identical.
-        """
-        return None
-
-    def bind_seed_major(self, cell: Any, row: int) -> None:
-        """Attach seed-major context: this trial is *row* of *cell*."""
-        self._seed_cell = cell
-        self._seed_row = row
 
     # ------------------------------------------------------------------
     # Introspection

@@ -23,12 +23,7 @@ with a four-level lookup:
 Datasets are plain ``{name: numpy array}`` dicts (all read-only), which
 is what makes them npz- and shm-portable.
 
-Knobs: ``REPRO_DATASET_MEMO`` (default ``1``; ``0``/``off``/``legacy``
-reverts to the pre-fast-lane behavior — a single-slot cache for
-workloads that historically had one, nothing for the rest, and no
-shm/disk lookups — kept as the honest baseline for
-``benchmarks/bench_grid.py``; any other value raises ``ConfigError``)
-and ``REPRO_DATASET_SHM`` (default on; gates level 2).
+Knob: ``REPRO_DATASET_SHM`` (default on; gates level 2).
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro._env import env_choice, env_flag
+from repro._env import env_flag
 from repro.core import tracecache
 from repro.workloads.shm import ShmDatasetHandle, attach_dataset
 
@@ -80,9 +75,6 @@ class DatasetSpec:
 
     ``generation`` is the builder version: bump it when a builder's
     output changes so stale disk-cache entries invalidate themselves.
-    ``legacy_cached`` records whether the pre-fast-lane code kept a
-    process cache for this dataset (only PageRank did), which is what
-    ``REPRO_DATASET_MEMO=legacy`` faithfully reproduces.
     """
 
     name: str
@@ -90,7 +82,6 @@ class DatasetSpec:
     seed: int
     rng_path: Tuple[int, ...]
     generation: int = 1
-    legacy_cached: bool = False
 
     @property
     def key(self) -> str:
@@ -113,13 +104,6 @@ Dataset = Dict[str, np.ndarray]
 _MEMO: "OrderedDict[str, Tuple[DatasetSpec, Dataset]]" = OrderedDict()
 #: Shared-memory manifest: content key → segment handle (worker side).
 _SHM_MANIFEST: Dict[str, ShmDatasetHandle] = {}
-
-
-def memo_mode() -> str:
-    """``"full"`` (default, ``REPRO_DATASET_MEMO=1``) or ``"legacy"``
-    (pre-fast-lane behavior: ``0``, ``off`` or ``legacy``)."""
-    raw = env_choice("REPRO_DATASET_MEMO", "1", ("1", "0", "off", "legacy"))
-    return "full" if raw == "1" else "legacy"
 
 
 def shm_enabled() -> bool:
@@ -148,23 +132,6 @@ def _freeze(arrays: Dataset) -> Dataset:
 def get_dataset(spec: DatasetSpec, build: Callable[[], Dataset]) -> Dataset:
     """The dataset for *spec*, via memo → shm → disk → *build*."""
     key = spec.key
-    if memo_mode() == "legacy":
-        # Pre-fast-lane semantics: PageRank kept one cached dataset per
-        # process (cleared on key change); everything else rebuilt per
-        # trial.  No shm attach, no disk cache.
-        if not spec.legacy_cached:
-            MEMO_STATS.misses += 1
-            return _freeze(build())
-        hit = _MEMO.get(key)
-        if hit is not None:
-            MEMO_STATS.hits += 1
-            return hit[1]
-        MEMO_STATS.misses += 1
-        arrays = _freeze(build())
-        _MEMO.clear()
-        _MEMO[key] = (spec, arrays)
-        return arrays
-
     hit = _MEMO.get(key)
     if hit is not None:
         MEMO_STATS.hits += 1

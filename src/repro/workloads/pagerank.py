@@ -161,7 +161,6 @@ class PageRankWorkload(Workload):
             seed=rng.seed,
             rng_path=rng._path,
             generation=PAGERANK_DATASET_GENERATION,
-            legacy_cached=True,
         )
         self._data = datasets.get_dataset(
             spec, lambda: build_pagerank_dataset(p, rng)
@@ -200,55 +199,6 @@ class PageRankWorkload(Workload):
         self._barrier = Barrier(self.params.n_threads, "pr-iteration")
 
     # ------------------------------------------------------------------
-    # Seed-major execution
-    # ------------------------------------------------------------------
-
-    def seed_major_plan(self):
-        """PageRank's access sequence is deterministic given the dataset
-        and the trial's VMA bases, so a whole cell's traces stack on a
-        leading seed axis: one ``np.where``/broadcast per thread builds
-        the ``(n_seeds, n)`` VPN arrays for *all* seeds at once.
-        """
-        from repro.core.seedmajor import SeedMajorPlan
-
-        g = self.graph
-        data = self._data
-        if g is None or data is None:
-            return None
-        p = self.params
-        areas = (
-            ("pr-offsets", g.n_offset_pages()),
-            ("pr-edges", g.n_edge_pages()),
-            ("pr-rank-src", g.n_rank_pages()),
-            ("pr-rank-dst", g.n_rank_pages()),
-        )
-
-        def build_stacked(bases: dict) -> dict:
-            out: dict = {}
-            starts = data["trace_starts"]
-            e_col = bases["pr-edges"][:, None]
-            r_col = bases["pr-rank-src"][:, None]
-            o_col = bases["pr-offsets"][:, None]
-            w_col = bases["pr-rank-dst"][:, None]
-            for tid in range(p.n_threads):
-                rel = data["trace_rel"][starts[tid]:starts[tid + 1]][None, :]
-                is_edge = (
-                    data["trace_isedge"][starts[tid]:starts[tid + 1]][None, :]
-                )
-                out["gather", tid] = np.where(is_edge, e_col + rel, r_col + rel)
-                v_lo, v_hi = chunk_bounds(g.n_vertices, p.n_threads, tid)
-                span = np.arange(
-                    v_lo // ENTRIES_PER_PAGE,
-                    -(-v_hi // ENTRIES_PER_PAGE),
-                    dtype=np.int64,
-                )[None, :]
-                out["offsets", tid] = o_col + span
-                out["dst", tid] = w_col + span
-            return out
-
-        return SeedMajorPlan(areas=areas, build_stacked=build_stacked)
-
-    # ------------------------------------------------------------------
     # Per-thread iteration work
     # ------------------------------------------------------------------
 
@@ -283,41 +233,30 @@ class PageRankWorkload(Workload):
         assert data is not None
         e_lo, e_hi = (int(b) for b in data["trace_edge_bounds"][tid])
         n_rank_touches = int(data["trace_rank_touches"][tid])
-        cell = self._seed_cell
-        if cell is not None:
-            # Seed-major cell: the VPN traces for every seed of the cell
-            # were materialized in one stacked pass; this trial reads its
-            # row views (cached per (key, row), so the translate memo
-            # hits across iterations as before).
-            row = self._seed_row
-            offset_vpns = cell.row(("offsets", tid), row)
-            dst_vpns = cell.row(("dst", tid), row)
-            gather_trace = cell.row(("gather", tid), row)
-        else:
-            v_lo, v_hi = chunk_bounds(g.n_vertices, p.n_threads, tid)
-            # Offsets pages covering this thread's vertex range.
-            off_lo = v_lo // ENTRIES_PER_PAGE
-            off_hi = -(-v_hi // ENTRIES_PER_PAGE)
-            offset_vpns = np.arange(
-                self._offsets_start + off_lo, self._offsets_start + off_hi
-            )
-            # Destination rank pages this thread writes (same page span
-            # as the offsets slice: both are vertex-indexed).
-            dst_vpns = np.arange(
-                self._rank_dst_start + off_lo, self._rank_dst_start + off_hi
-            )
-            # Gather-phase trace: for each owned edge page, the edge
-            # page itself followed by the distinct rank pages its
-            # targets live on.  The pattern repeats every iteration
-            # (PageRank's access pattern is iteration-invariant); its
-            # base-independent form comes from the shared dataset, only
-            # the per-trial VPN bases are applied here.
-            starts = data["trace_starts"]
-            rel = data["trace_rel"][starts[tid]:starts[tid + 1]]
-            is_edge = data["trace_isedge"][starts[tid]:starts[tid + 1]]
-            gather_trace = np.where(
-                is_edge, self._edges_start + rel, self._rank_src_start + rel
-            )
+        v_lo, v_hi = chunk_bounds(g.n_vertices, p.n_threads, tid)
+        # Offsets pages covering this thread's vertex range.
+        off_lo = v_lo // ENTRIES_PER_PAGE
+        off_hi = -(-v_hi // ENTRIES_PER_PAGE)
+        offset_vpns = np.arange(
+            self._offsets_start + off_lo, self._offsets_start + off_hi
+        )
+        # Destination rank pages this thread writes (same page span as
+        # the offsets slice: both are vertex-indexed).
+        dst_vpns = np.arange(
+            self._rank_dst_start + off_lo, self._rank_dst_start + off_hi
+        )
+        # Gather-phase trace: for each owned edge page, the edge page
+        # itself followed by the distinct rank pages its targets live
+        # on.  The pattern repeats every iteration (PageRank's access
+        # pattern is iteration-invariant); its base-independent form
+        # comes from the shared dataset, only the per-trial VPN bases
+        # are applied here.
+        starts = data["trace_starts"]
+        rel = data["trace_rel"][starts[tid]:starts[tid + 1]]
+        is_edge = data["trace_isedge"][starts[tid]:starts[tid + 1]]
+        gather_trace = np.where(
+            is_edge, self._edges_start + rel, self._rank_src_start + rel
+        )
         # Fold per-edge-page compute into a uniform per-access cost so
         # the whole gather phase is one batched access run.
         n_accesses = max(1, len(gather_trace))

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.seedmajor import fast_seeds_enabled
 from repro.core.tracecache import DEFAULT_ROOT, cache_cap_bytes, cache_root
 from repro.errors import ConfigError
 from repro.fleet.trial import (
@@ -18,14 +17,13 @@ from repro.fleet.trial import (
     spans_sample_env,
 )
 from repro.sim.engine import Engine
-from repro.workloads.datasets import memo_mode, shm_enabled
+from repro.workloads.datasets import shm_enabled
 from tests.conftest import make_small_system
 
 #: Each knob with its default and a read through the code that uses it.
 KNOBS = [
     ("REPRO_FAST_ACCESS", True, lambda: make_small_system(start=False)[1].fast_access),
     ("REPRO_FAST_ENGINE", True, lambda: Engine()._fast),
-    ("REPRO_FAST_SEEDS", True, fast_seeds_enabled),
     ("REPRO_FAST_FLEET", True, fast_fleet_enabled),
     ("REPRO_PSI", False, psi_enabled),
     ("REPRO_SPANS", False, spans_enabled),
@@ -67,13 +65,6 @@ VALUED_KNOBS = [
         512 * MIB,
         [("1", MIB), ("0", 0), ("-1", -MIB), (" 64 ", 64 * MIB)],
         ["1g", "abc", "2.5", ""],
-    ),
-    (
-        "REPRO_DATASET_MEMO",
-        memo_mode,
-        "full",
-        [("1", "full"), ("0", "legacy"), ("off", "legacy"), (" legacy ", "legacy")],
-        ["legacyy", "false", "full", "2", ""],
     ),
     (
         "REPRO_TRACE_CACHE",

@@ -1,10 +1,10 @@
-"""Seed-major fast lane: runner digests, layout prepass, runner.
+"""The experiment runner: committed cell digests, chunking, parallelism.
 
-The contract under test is the strongest the repo makes: a cell's
-trials hash to committed digests across every policy family, serial
-and with ``jobs=2``, and the parallel runner (seed-chunk tasks plus
-shared-memory datasets) reproduces the serial results exactly, with
-sharing on or off.
+Every trial runs on a fresh simulator, so a cell's trials hash to the
+committed digests across every policy family, serially and with
+``jobs=2`` (seed-chunk pool tasks over shared-memory datasets), and
+the parallel runner reproduces the serial results exactly, with
+dataset sharing on or off.
 """
 
 from __future__ import annotations
@@ -12,42 +12,24 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 import repro.workloads as workloads_pkg
 from repro.core.config import ExperimentConfig, SystemConfig
-from repro.core.experiment import ExperimentRunner, run_trial
-from repro.core.seedmajor import (
-    SeedMajorCell,
-    chunk_seeds,
-    plan_cell,
-)
-from repro.sim.rng import RngTree
+from repro.core.experiment import ExperimentRunner, chunk_seeds
 from repro.workloads.pagerank import PageRankParams, PageRankWorkload
-from repro.workloads.tpch import TPCHParams, TPCHWorkload
 
 SEEDS = [41, 42, 43]
 
 
 @pytest.fixture(autouse=True)
-def tiny_workloads(monkeypatch):
+def tiny_pagerank(monkeypatch):
     monkeypatch.setitem(
         workloads_pkg.WORKLOAD_FACTORIES,
         "pagerank",
         lambda: PageRankWorkload(
             PageRankParams(
                 n_vertices=4096, avg_degree=6, n_iterations=3, n_threads=4
-            )
-        ),
-    )
-    monkeypatch.setitem(
-        workloads_pkg.WORKLOAD_FACTORIES,
-        "tpch",
-        lambda: TPCHWorkload(
-            TPCHParams(
-                table_pages=96, hash_pages=96, shuffle_pages=64,
-                n_threads=4, n_queries=1,
             )
         ),
     )
@@ -89,39 +71,6 @@ class TestRunnerDigests:
             result = runner.run(cell)
         assert [trial.seed for trial in result.trials] == SEEDS
         assert digest(result) == RUNNER_DIGESTS[policy]
-
-
-class TestLayoutPrepass:
-    def test_replayed_bases_match_real_vmas(self):
-        """The ASLR layout replay predicts every trial's VMA bases; the
-        in-trial verify_layout call would raise on any divergence, so a
-        clean cell run is itself the assertion.  Double-check directly
-        against a real system here."""
-        cell = plan_cell("pagerank", SEEDS)
-        assert isinstance(cell, SeedMajorCell)
-        trial = run_trial(
-            "pagerank", config(), SEEDS[1], _seed_cell=cell, _seed_row=1
-        )
-        assert trial.seed == SEEDS[1]
-        # Bases are per-seed: with ASLR on, at least one area should
-        # land at different addresses across seeds.
-        bases = np.array(
-            [[cell._bases[name][s] for name, _ in cell.plan.areas]
-             for s in range(cell.n_seeds)]
-        )
-        assert len(np.unique(bases, axis=0)) > 1
-
-    def test_stacked_rows_match_scalar_traces(self):
-        """The stacked (n_seeds, n) trace rows equal the arrays the
-        scalar path builds one seed at a time."""
-        name = "pagerank"
-        cell = plan_cell(name, SEEDS)
-        for row, seed in enumerate(SEEDS):
-            scalar = run_trial(name, config(), seed)
-            stacked = run_trial(
-                name, config(), seed, _seed_cell=cell, _seed_row=row
-            )
-            assert scalar == stacked
 
 
 class TestChunking:

@@ -1,4 +1,4 @@
-"""Dataset layer: memo modes, disk-cache path, shared-memory transport."""
+"""Dataset layer: process memo, disk-cache path, shared-memory transport."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.workloads import datasets, shm
 @pytest.fixture(autouse=True)
 def clean_state(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-    monkeypatch.delenv("REPRO_DATASET_MEMO", raising=False)
     monkeypatch.delenv("REPRO_DATASET_SHM", raising=False)
     datasets.clear_process_state()
     tracecache.STATS.reset()
@@ -26,10 +25,9 @@ def clean_state(tmp_path, monkeypatch):
     datasets.clear_process_state()
 
 
-def spec(name="unit", params="p1", legacy_cached=False):
+def spec(name="unit", params="p1"):
     return datasets.DatasetSpec(
         name=name, params=params, seed=7, rng_path=(1, 2),
-        legacy_cached=legacy_cached,
     )
 
 
@@ -63,27 +61,6 @@ class TestMemo:
         for s in keys:
             datasets.get_dataset(s, build)
         assert len(datasets.memo_items()) == datasets.MEMO_CAP
-
-    def test_legacy_mode_rebuilds_unless_legacy_cached(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DATASET_MEMO", "legacy")
-        build = CountingBuilder()
-        datasets.get_dataset(spec(), build)
-        datasets.get_dataset(spec(), build)
-        assert build.calls == 2  # pre-fast-lane: rebuilt per trial
-        legacy = CountingBuilder()
-        datasets.get_dataset(spec(params="q", legacy_cached=True), legacy)
-        datasets.get_dataset(spec(params="q", legacy_cached=True), legacy)
-        assert legacy.calls == 1  # single-slot cache, as before
-        # Legacy mode never touches the disk cache.
-        assert tracecache.STATS.stores == 0
-
-    def test_legacy_single_slot_clears_on_key_change(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DATASET_MEMO", "legacy")
-        build = CountingBuilder()
-        datasets.get_dataset(spec(params="a", legacy_cached=True), build)
-        datasets.get_dataset(spec(params="b", legacy_cached=True), build)
-        datasets.get_dataset(spec(params="a", legacy_cached=True), build)
-        assert build.calls == 3
 
 
 class TestDiskPath:
