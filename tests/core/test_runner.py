@@ -119,20 +119,23 @@ class TestRunnerParallel:
         for a, b in zip(serial, parallel):
             assert a.trials == b.trials
 
-    def test_close_releases_pool_and_segments(self):
+    def test_close_releases_pool_and_segments(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DATASET_SHM", "1")
         runner = ExperimentRunner(jobs=2)
         runner.run(self._config())
         pool = runner._pool
         server = runner._shm_server
+        assert pool is not None and server is not None
+        assert server.handles
+        workers = list(pool._processes.values())
+        assert workers
         runner.close()
         assert runner._pool is None
         assert runner._shm_server is None
-        if pool is not None:
-            # shutdown(wait=True) must have joined the workers.
-            assert pool._shutdown_thread is None or True
-        if server is not None:
-            assert server.handles == {}
-        # close() is idempotent and the runner still works serially.
+        # shutdown(wait=True) must have joined the workers.
+        assert not any(worker.is_alive() for worker in workers)
+        assert server.handles == {}
+        # close() is idempotent.
         runner.close()
 
     def test_progress_notes_once_per_trial_parallel(self):
