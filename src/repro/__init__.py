@@ -22,6 +22,10 @@ See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 per-figure reproduction harness.
 """
 
+from repro._env import check_env_names
+
+check_env_names()
+
 from repro.core.config import ExperimentConfig, SystemConfig
 from repro.core.experiment import ExperimentRunner, run_trial
 from repro.core.figures import FIGURES, FigureResult

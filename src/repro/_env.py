@@ -6,14 +6,50 @@ raises instead of silently turning the knob on.  The integer and
 enumerated knobs read through :func:`env_int` and :func:`env_choice`
 under the same rule: a value they cannot use raises
 :class:`ConfigError` naming the variable.
+
+Names follow the same rule: ``import repro`` calls
+:func:`check_env_names`, which rejects any ``REPRO_*`` variable not in
+:data:`KNOWN_NAMES`, so a misspelt or retired knob fails loudly instead
+of being ignored.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
+
+#: Every ``REPRO_*`` variable read by the package and its benchmarks
+#: (``REPRO_TRIALS`` and ``REPRO_SEED`` by ``benchmarks/conftest.py``).
+KNOWN_NAMES: Tuple[str, ...] = (
+    "REPRO_DATASET_SHM",
+    "REPRO_FAST_ACCESS",
+    "REPRO_FAST_ENGINE",
+    "REPRO_FAST_FLEET",
+    "REPRO_JOBS",
+    "REPRO_PSI",
+    "REPRO_SEED",
+    "REPRO_SPANS",
+    "REPRO_SPANS_SAMPLE",
+    "REPRO_TRACE_CACHE",
+    "REPRO_TRACE_CACHE_CAP_MB",
+    "REPRO_TRIALS",
+)
+
+
+def check_env_names(environ: Mapping[str, str] = os.environ) -> None:
+    """Raise :class:`ConfigError` naming every ``REPRO_*`` variable in
+    *environ* that is not in :data:`KNOWN_NAMES`."""
+    unknown = sorted(
+        name for name in environ
+        if name.startswith("REPRO_") and name not in KNOWN_NAMES
+    )
+    if unknown:
+        raise ConfigError(
+            f"unknown environment variable(s) {', '.join(unknown)}; "
+            f"known REPRO_* names: {', '.join(KNOWN_NAMES)}"
+        )
 
 
 def env_flag(name: str, default: bool) -> bool:

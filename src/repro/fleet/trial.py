@@ -107,7 +107,7 @@ LANE_STATS = _LaneStats()
 def fast_fleet_enabled() -> bool:
     """The ``REPRO_FAST_FLEET`` env knob (on by default).
 
-    Same contract as ``REPRO_FAST_{ACCESS,RECLAIM,ENGINE}``: both lanes
+    Same contract as ``REPRO_FAST_ACCESS`` and ``REPRO_FAST_ENGINE``: both lanes
     emit identical command streams, so rows and reports are
     byte-identical either way; the toggle exists for A/B verification.
     """

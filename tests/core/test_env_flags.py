@@ -1,13 +1,19 @@
 """The ``REPRO_*`` knobs fail loudly: the boolean ones take ``0`` or
 ``1``, the integer and enumerated ones their documented values, and
-anything else raises a :class:`ConfigError` naming the variable."""
+anything else raises a :class:`ConfigError` naming the variable.  So
+does a ``REPRO_*`` name that no code reads."""
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro._env import KNOWN_NAMES
 from repro.core.tracecache import DEFAULT_ROOT, cache_cap_bytes, cache_root
 from repro.errors import ConfigError
 from repro.fleet.trial import (
@@ -92,3 +98,33 @@ def test_valued_knob(monkeypatch, name, read, default, good, bad):
         monkeypatch.setenv(name, raw)
         with pytest.raises(ConfigError, match=name):
             read()
+
+
+#: Knobs that no code reads any more, with a value they used to take.
+RETIRED = [("REPRO_FAST_SEEDS", "0"), ("REPRO_DATASET_MEMO", "legacy")]
+
+
+@pytest.mark.parametrize(
+    "name, value", RETIRED, ids=[knob[0] for knob in RETIRED]
+)
+def test_unknown_name_fails_import(name, value):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import repro"],
+        env={**os.environ, name: value},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "ConfigError" in proc.stderr and name in proc.stderr
+
+
+def test_known_names_are_the_names_read():
+    """``KNOWN_NAMES`` lists exactly the ``REPRO_*`` names that code
+    under ``src/`` and ``benchmarks/`` reads."""
+    root = Path(__file__).resolve().parents[2]
+    env_module = root / "src" / "repro" / "_env.py"
+    read = set()
+    for top in ("src", "benchmarks"):
+        for path in (root / top).rglob("*.py"):
+            if path != env_module:
+                read.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+    assert read == set(KNOWN_NAMES)
