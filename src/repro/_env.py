@@ -16,7 +16,7 @@ of being ignored.
 from __future__ import annotations
 
 import os
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -38,11 +38,11 @@ KNOWN_NAMES: Tuple[str, ...] = (
 )
 
 
-def check_env_names(environ: Mapping[str, str] = os.environ) -> None:
-    """Raise :class:`ConfigError` naming every ``REPRO_*`` variable in
-    *environ* that is not in :data:`KNOWN_NAMES`."""
+def check_env_names() -> None:
+    """Raise :class:`ConfigError` naming every ``REPRO_*`` environment
+    variable that is not in :data:`KNOWN_NAMES`."""
     unknown = sorted(
-        name for name in environ
+        name for name in os.environ
         if name.startswith("REPRO_") and name not in KNOWN_NAMES
     )
     if unknown:
