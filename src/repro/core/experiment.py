@@ -7,16 +7,16 @@ simulator analogue of the paper's per-execution reboot (§IV).  The
 so figure generators can share measurements; with ``REPRO_JOBS`` > 1 it
 ships each cell to a process pool as seed-chunk tasks
 (:func:`run_cell_trials`) that attach the parent's shared-memory
-datasets.
+datasets, and returns the cell before they finish.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from dataclasses import asdict
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.config import ExperimentConfig, SystemConfig
@@ -274,6 +274,11 @@ class ExperimentRunner:
     as in the serial loop, and results are assembled in seed order —
     serial and parallel runs produce identical
     :class:`ExperimentResult`\\ s.
+
+    With ``jobs > 1`` cells pipeline: :meth:`run` submits the cell's
+    tasks and returns at once, and the first read of the result's trials
+    waits for them.  A caller that requests several cells before reading
+    any keeps every worker busy across cell boundaries.
     """
 
     def __init__(
@@ -286,10 +291,12 @@ class ExperimentRunner:
         object with ``observe_trial(label, trial)``) fed every finished
         trial — the grid-level aggregation end of the worker telemetry
         channel.  Cache hits are not re-observed."""
-        self._cache: Dict[tuple, ExperimentResult] = {}
+        self._cache: Dict[ExperimentConfig, ExperimentResult] = {}
         self._progress = progress
         self.jobs = _jobs_from_env() if jobs is None else max(1, int(jobs))
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: Pooled cells that :meth:`close` has yet to finish.
+        self._pending: List[ExperimentResult] = []
         self.telemetry = telemetry
         #: Shared-memory dataset server (parent side); created lazily on
         #: the first parallel dispatch, torn down by close().
@@ -304,31 +311,29 @@ class ExperimentRunner:
         if self.telemetry is not None:
             self.telemetry.observe_trial(config.label, trial)
 
-    @staticmethod
-    def _key(config: ExperimentConfig) -> tuple:
-        return (
-            config.workload,
-            config.system.policy,
-            config.system.swap,
-            config.system.capacity_ratio,
-            config.n_trials,
-            config.base_seed,
-            config.trace,
-            config.metrics,
-        )
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
     def close(self) -> None:
-        """Release workers and shared-memory segments (idempotent).
+        """Finish the outstanding cells, then release workers and
+        shared-memory segments (idempotent).
 
-        The pool shutdown waits for running trials and *cancels* queued
-        ones, so an interrupted grid doesn't leak worker processes; the
-        shm server close unlinks every exported dataset segment.
+        Results read after ``close()`` are complete.  If a cell's trials
+        raise, the pool and segments are still released (queued tasks
+        are cancelled) and the exception is re-raised.
         """
+        try:
+            for result in self._pending:
+                result.trials  # the first read waits for the cell
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Shut the pool down — waiting for running tasks, cancelling
+        queued ones — and unlink every exported dataset segment."""
+        self._pending.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
@@ -340,19 +345,22 @@ class ExperimentRunner:
     def __enter__(self) -> "ExperimentRunner":
         return self
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
+        # An exception in the block cancels the cells still queued
+        # instead of finishing them.
+        if exc_type is None:
+            self.close()
+        else:
+            self._release()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
         try:
-            self.close()
+            self._release()
         except Exception:
             pass
 
-    def _dataset_manifest(
-        self, configs: Iterable[ExperimentConfig]
-    ) -> Optional[Dict[str, Any]]:
-        """Build + export the datasets of *configs* over shared memory.
+    def _dataset_manifest(self, workload: str) -> Optional[Dict[str, Any]]:
+        """Build + export *workload*'s dataset over shared memory.
 
         Returns the manifest (content key → segment handle) shipped with
         every worker task, or ``None`` when sharing is disabled.  The
@@ -364,57 +372,42 @@ class ExperimentRunner:
 
         if not datasets.shm_enabled():
             return None
-        for name in {config.workload for config in configs}:
-            if name in self._shm_prepared:
-                continue
-            workload = make_workload(name)
-            workload.prepare(
-                RngTree(DATASET_SEED).subtree("dataset", name)
+        if workload not in self._shm_prepared:
+            make_workload(workload).prepare(
+                RngTree(DATASET_SEED).subtree("dataset", workload)
             )
-            self._shm_prepared.add(name)
+            self._shm_prepared.add(workload)
         if self._shm_server is None:
             self._shm_server = shm.ShmServer()
         for spec, arrays in datasets.memo_items():
             self._shm_server.export(spec.key, arrays)
-        manifest = self._shm_server.handles
-        return manifest or None
+        return self._shm_server.handles or None
 
-    def _assemble(
-        self,
-        config: ExperimentConfig,
-        trials: Iterable[TrialResult],
-    ) -> ExperimentResult:
-        result = ExperimentResult(
-            workload=config.workload,
-            policy=config.system.policy,
-            swap=config.system.swap,
-            capacity_ratio=config.system.capacity_ratio,
-        )
-        for trial in trials:
-            result.add(trial)
-        return result
-
-    def _submit_cell(
-        self, config: ExperimentConfig, seeds: List[int],
-        manifest: Optional[Dict[str, Any]],
-    ) -> List[Future]:
+    def _submit(self, config: ExperimentConfig) -> List[Future]:
         """Fan one cell's seeds over the pool as seed-chunk tasks."""
+        manifest = self._dataset_manifest(config.workload)
         pool = self._ensure_pool()
         return [
             pool.submit(
                 run_cell_trials, config.workload, config.system, chunk,
                 config.trace, config.metrics, manifest,
             )
-            for chunk in chunk_seeds(seeds, self.jobs)
+            for chunk in chunk_seeds(list(config.seeds()), self.jobs)
         ]
 
-    def _collect_cell(
+    def _collect(
         self, config: ExperimentConfig, futures: List[Future]
     ) -> List[TrialResult]:
         """Gather chunk futures in submission order (= seed order)."""
         trials: List[TrialResult] = []
         for future in futures:
-            for trial in future.result():
+            try:
+                chunk = future.result()
+            except CancelledError:
+                raise CancelledError(
+                    f"{config.label}: cancelled before its trials finished"
+                ) from None
+            for trial in chunk:
                 trials.append(trial)
                 self._observe(config, trial)
                 self._note(
@@ -423,17 +416,26 @@ class ExperimentRunner:
         return trials
 
     def run(self, config: ExperimentConfig) -> ExperimentResult:
-        """Run (or fetch from cache) all trials of one cell."""
-        key = self._key(config)
-        cached = self._cache.get(key)
+        """Run (or fetch from cache) all trials of one cell.
+
+        Serial (``jobs == 1``), the trials run here and the result is
+        complete.  Pooled, the cell's tasks are submitted and the result
+        is returned at once; its first read waits for them and re-raises
+        a worker's exception.
+        """
+        cached = self._cache.get(config)
         if cached is not None:
             return cached
-        seeds = list(config.seeds())
-        if self.jobs > 1 and len(seeds) > 1:
-            manifest = self._dataset_manifest([config])
-            trials = self._collect_cell(
-                config, self._submit_cell(config, seeds, manifest)
+        cell = (
+            config.workload, config.system.policy, config.system.swap,
+            config.system.capacity_ratio,
+        )
+        if self.jobs > 1:
+            futures = self._submit(config)
+            result = ExperimentResult.pending(
+                *cell, partial(self._collect, config, futures)
             )
+            self._pending.append(result)
         else:
             def progress(row: int, _seed: int) -> None:
                 self._note(
@@ -441,49 +443,27 @@ class ExperimentRunner:
                 )
 
             trials = run_cell_trials(
-                config.workload, config.system, seeds, config.trace,
-                config.metrics, None, progress=progress,
+                config.workload, config.system, list(config.seeds()),
+                config.trace, config.metrics, None, progress=progress,
             )
             for trial in trials:
                 self._observe(config, trial)
-        result = self._assemble(config, trials)
-        self._cache[key] = result
+            result = ExperimentResult(*cell, trials)
+        self._cache[config] = result
         return result
 
     def run_many(
         self, configs: Iterable[ExperimentConfig]
     ) -> List[ExperimentResult]:
-        """Run several cells, fanning *all* their trials over the pool.
+        """Run several cells and return them finished.
 
-        With ``jobs > 1`` every cell's seed-chunk tasks are submitted up
-        front so the pool never drains between cells; results are
-        assembled in submission order, identical to running each cell
-        serially.
+        Every cell is requested before any is read, so with ``jobs > 1``
+        the pool holds all their tasks at once.
         """
-        configs = list(configs)
-        if self.jobs <= 1:
-            return [self.run(config) for config in configs]
-        fresh = []
-        seen: set = set()
-        for config in configs:
-            key = self._key(config)
-            if key in self._cache or key in seen:
-                continue
-            seen.add(key)
-            fresh.append(config)
-        manifest = self._dataset_manifest(fresh) if fresh else None
-        pending: Dict[tuple, tuple] = {}
-        for config in fresh:
-            seeds = list(config.seeds())
-            if len(seeds) > 1:
-                futures = self._submit_cell(config, seeds, manifest)
-                pending[self._key(config)] = (config, futures)
-        for key, (config, futures) in pending.items():
-            self._cache[key] = self._assemble(
-                config, self._collect_cell(config, futures)
-            )
-        # Single-seed cells (nothing to fan out) run inline.
-        return [self.run(config) for config in configs]
+        results = [self.run(config) for config in configs]
+        for result in results:
+            result.trials  # the first read waits for the cell
+        return results
 
     def run_grid(
         self,

@@ -16,7 +16,7 @@ pool across trials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -100,6 +100,21 @@ def _cell(
     )
 
 
+def _cells(
+    runner: ExperimentRunner,
+    keys: Iterable[tuple],
+    n_trials: int,
+    base_seed: int,
+) -> Dict[tuple, ExperimentResult]:
+    """Request every ``(workload, policy, swap, ratio)`` cell of a
+    figure's grid, keyed by that tuple.
+
+    Each figure requests its whole grid before it reads any cell, so a
+    pooled runner holds the next cells' tasks whenever a worker frees.
+    """
+    return {key: _cell(runner, *key, n_trials, base_seed) for key in keys}
+
+
 def _perf_metric(result: ExperimentResult) -> float:
     """Mean performance: total runtime, except YCSB where the paper
     normalizes the average request time (Fig. 1 caption)."""
@@ -121,11 +136,13 @@ def fig1(
 ) -> FigureResult:
     """Average execution time (a) and fault counts (b) normalized to
     Clock-LRU; SSD swap, 50% capacity-to-footprint ratio."""
+    grid = [(w, p, "ssd", 0.5) for w in PAPER_WORKLOADS for p in ("clock", "mglru")]
+    cells = _cells(runner, grid, n_trials, base_seed)
     rows = []
     data: Dict[str, object] = {}
     for workload in PAPER_WORKLOADS:
-        clock = _cell(runner, workload, "clock", "ssd", 0.5, n_trials, base_seed)
-        mglru = _cell(runner, workload, "mglru", "ssd", 0.5, n_trials, base_seed)
+        clock = cells[(workload, "clock", "ssd", 0.5)]
+        mglru = cells[(workload, "mglru", "ssd", 0.5)]
         rel_perf = _perf_metric(mglru) / _perf_metric(clock)
         rel_faults = (
             mglru.mean_faults() / clock.mean_faults()
@@ -167,12 +184,13 @@ def fig2(
 ) -> FigureResult:
     """Joint distributions of execution time and faults for TPC-H and
     PageRank under Clock and MG-LRU."""
+    grid = [(w, p, "ssd", 0.5) for w in DIST_WORKLOADS for p in ("clock", "mglru")]
+    cells = _cells(runner, grid, n_trials, base_seed)
     rows = []
     data: Dict[str, object] = {}
     for workload in DIST_WORKLOADS:
         for policy in ("clock", "mglru"):
-            cell = _cell(runner, workload, policy, "ssd", 0.5, n_trials, base_seed)
-            joint = joint_distribution(cell)
+            joint = joint_distribution(cells[(workload, policy, "ssd", 0.5)])
             rows.append(
                 [
                     WORKLOAD_LABELS[workload],
@@ -223,33 +241,40 @@ def fig2(
 def _tail_rows(
     runner: ExperimentRunner,
     swap: str,
-    ratio: float,
+    ratios: Sequence[float],
     policies: Sequence[str],
     n_trials: int,
     base_seed: int,
-) -> tuple[list, Dict[str, object]]:
-    rows = []
-    data: Dict[str, object] = {}
-    for workload in YCSB_WORKLOADS:
-        for policy in policies:
-            cell = _cell(runner, workload, policy, swap, ratio, n_trials, base_seed)
-            for op in ("read", "write"):
-                pooled = cell.pooled_latencies_ns(op)
-                if not len(pooled):
-                    continue
-                tails = tail_latencies(pooled)
-                rows.append(
-                    [
-                        WORKLOAD_LABELS[workload],
-                        POLICY_LABELS[policy],
-                        op,
-                        *[tails[q] / 1e3 for q in TAIL_PERCENTILES],
-                    ]
-                )
-                data[f"{workload}/{policy}/{op}"] = {
-                    str(q): tails[q] for q in TAIL_PERCENTILES
-                }
-    return rows, data
+) -> List[tuple[list, Dict[str, object]]]:
+    """YCSB tail rows and data, one pair per ratio; every ratio's cells
+    are requested before any is read."""
+    grid = [(w, p, swap, r) for r in ratios for w in YCSB_WORKLOADS for p in policies]
+    cells = _cells(runner, grid, n_trials, base_seed)
+    blocks = []
+    for ratio in ratios:
+        rows = []
+        data: Dict[str, object] = {}
+        for workload in YCSB_WORKLOADS:
+            for policy in policies:
+                cell = cells[(workload, policy, swap, ratio)]
+                for op in ("read", "write"):
+                    pooled = cell.pooled_latencies_ns(op)
+                    if not len(pooled):
+                        continue
+                    tails = tail_latencies(pooled)
+                    rows.append(
+                        [
+                            WORKLOAD_LABELS[workload],
+                            POLICY_LABELS[policy],
+                            op,
+                            *[tails[q] / 1e3 for q in TAIL_PERCENTILES],
+                        ]
+                    )
+                    data[f"{workload}/{policy}/{op}"] = {
+                        str(q): tails[q] for q in TAIL_PERCENTILES
+                    }
+        blocks.append((rows, data))
+    return blocks
 
 
 def fig3(
@@ -258,8 +283,8 @@ def fig3(
     base_seed: int = 10_000,
 ) -> FigureResult:
     """YCSB read/write tail latency distributions (SSD, 50%)."""
-    rows, data = _tail_rows(
-        runner, "ssd", 0.5, ("clock", "mglru"), n_trials, base_seed
+    [(rows, data)] = _tail_rows(
+        runner, "ssd", (0.5,), ("clock", "mglru"), n_trials, base_seed
     )
     text = render_table(
         ["workload", "policy", "op", "p90 (us)", "p99 (us)", "p99.9 (us)", "p99.99 (us)"],
@@ -290,14 +315,16 @@ def fig4(
 ) -> FigureResult:
     """Mean performance and faults of the MG-LRU parameter variants,
     normalized to default MG-LRU."""
+    grid = [(w, p, "ssd", 0.5) for w in PAPER_WORKLOADS for p in MGLRU_VARIANTS]
+    cells = _cells(runner, grid, n_trials, base_seed)
     rows = []
     data: Dict[str, object] = {}
     for workload in PAPER_WORKLOADS:
-        base = _cell(runner, workload, "mglru", "ssd", 0.5, n_trials, base_seed)
+        base = cells[(workload, "mglru", "ssd", 0.5)]
         base_perf = _perf_metric(base)
         base_faults = base.mean_faults() or float("nan")
         for policy in MGLRU_VARIANTS:
-            cell = _cell(runner, workload, policy, "ssd", 0.5, n_trials, base_seed)
+            cell = cells[(workload, policy, "ssd", 0.5)]
             rel_perf = _perf_metric(cell) / base_perf
             rel_faults = cell.mean_faults() / base_faults
             rows.append(
@@ -336,12 +363,13 @@ def fig5(
 ) -> FigureResult:
     """Joint runtime/fault distributions for the MG-LRU variants on
     TPC-H and PageRank."""
+    grid = [(w, p, "ssd", 0.5) for w in DIST_WORKLOADS for p in MGLRU_VARIANTS]
+    cells = _cells(runner, grid, n_trials, base_seed)
     rows = []
     data: Dict[str, object] = {}
     for workload in DIST_WORKLOADS:
         for policy in MGLRU_VARIANTS:
-            cell = _cell(runner, workload, policy, "ssd", 0.5, n_trials, base_seed)
-            joint = joint_distribution(cell)
+            joint = joint_distribution(cells[(workload, policy, "ssd", 0.5)])
             slope_ms = joint.fit.slope * 1e3  # s/fault -> ms/fault
             rows.append(
                 [
@@ -398,14 +426,19 @@ def fig6(
 ) -> FigureResult:
     """Mean performance at relaxed memory pressure, normalized to
     default MG-LRU, with Clock-vs-MG-LRU significance tests."""
+    grid = [
+        (w, p, "ssd", r)
+        for r in (0.75, 0.9) for w in PAPER_WORKLOADS for p in PAPER_POLICIES
+    ]
+    cells = _cells(runner, grid, n_trials, base_seed)
     rows = []
     data: Dict[str, object] = {}
     for ratio in (0.75, 0.9):
         for workload in PAPER_WORKLOADS:
-            base = _cell(runner, workload, "mglru", "ssd", ratio, n_trials, base_seed)
+            base = cells[(workload, "mglru", "ssd", ratio)]
             base_perf = _perf_metric(base)
             for policy in PAPER_POLICIES:
-                cell = _cell(runner, workload, policy, "ssd", ratio, n_trials, base_seed)
+                cell = cells[(workload, policy, "ssd", ratio)]
                 rel = _perf_metric(cell) / base_perf
                 p_value = float("nan")
                 if policy == "clock" and cell.n_trials >= 2 and base.n_trials >= 2:
@@ -455,15 +488,19 @@ def fig7(
 ) -> FigureResult:
     """Normalized fault distributions (min/quartiles/max) at relaxed
     ratios for TPC-H and PageRank."""
+    grid = [
+        (w, p, "ssd", r)
+        for r in (0.75, 0.9) for w in DIST_WORKLOADS for p in PAPER_POLICIES
+    ]
+    cells = _cells(runner, grid, n_trials, base_seed)
     rows = []
     data: Dict[str, object] = {}
     for ratio in (0.75, 0.9):
         for workload in DIST_WORKLOADS:
-            cells = [
-                _cell(runner, workload, policy, "ssd", ratio, n_trials, base_seed)
-                for policy in PAPER_POLICIES
-            ]
-            summaries = fault_distribution_summary(cells, normalize_to_policy="mglru")
+            summaries = fault_distribution_summary(
+                [cells[(workload, policy, "ssd", ratio)] for policy in PAPER_POLICIES],
+                normalize_to_policy="mglru",
+            )
             for policy in PAPER_POLICIES:
                 s = summaries[policy]
                 rows.append(
@@ -510,12 +547,13 @@ def fig8(
     base_seed: int = 10_000,
 ) -> FigureResult:
     """YCSB tail latencies at relaxed memory pressure."""
+    ratios = (0.75, 0.9)
+    tail_blocks = _tail_rows(
+        runner, "ssd", ratios, ("clock", "mglru"), n_trials, base_seed
+    )
     blocks = []
     data: Dict[str, object] = {}
-    for ratio in (0.75, 0.9):
-        rows, block_data = _tail_rows(
-            runner, "ssd", ratio, ("clock", "mglru"), n_trials, base_seed
-        )
+    for ratio, (rows, block_data) in zip(ratios, tail_blocks):
         blocks.append(
             render_table(
                 [
@@ -550,16 +588,8 @@ def fig8(
 # Figures 9 & 10 — ZRAM mean performance and faults (50%)
 # ----------------------------------------------------------------------
 
-def _zram_cells(
-    runner: ExperimentRunner, n_trials: int, base_seed: int
-) -> Dict[tuple, ExperimentResult]:
-    cells = {}
-    for workload in PAPER_WORKLOADS:
-        for policy in PAPER_POLICIES:
-            cells[(workload, policy)] = _cell(
-                runner, workload, policy, "zram", 0.5, n_trials, base_seed
-            )
-    return cells
+#: The grid Figs 9 and 10 share.
+_ZRAM_GRID = [(w, p, "zram", 0.5) for w in PAPER_WORKLOADS for p in PAPER_POLICIES]
 
 
 def fig9(
@@ -568,13 +598,13 @@ def fig9(
     base_seed: int = 10_000,
 ) -> FigureResult:
     """Mean performance with ZRAM swap, normalized to default MG-LRU."""
-    cells = _zram_cells(runner, n_trials, base_seed)
+    cells = _cells(runner, _ZRAM_GRID, n_trials, base_seed)
     rows = []
     data: Dict[str, object] = {}
     for workload in PAPER_WORKLOADS:
-        base_perf = _perf_metric(cells[(workload, "mglru")])
+        base_perf = _perf_metric(cells[(workload, "mglru", "zram", 0.5)])
         for policy in PAPER_POLICIES:
-            rel = _perf_metric(cells[(workload, policy)]) / base_perf
+            rel = _perf_metric(cells[(workload, policy, "zram", 0.5)]) / base_perf
             rows.append([WORKLOAD_LABELS[workload], POLICY_LABELS[policy], rel])
             data[f"{workload}/{policy}"] = {"rel_runtime": rel}
     text = render_table(
@@ -600,13 +630,14 @@ def fig10(
     base_seed: int = 10_000,
 ) -> FigureResult:
     """Mean fault counts with ZRAM swap, normalized to default MG-LRU."""
-    cells = _zram_cells(runner, n_trials, base_seed)
+    cells = _cells(runner, _ZRAM_GRID, n_trials, base_seed)
     rows = []
     data: Dict[str, object] = {}
     for workload in PAPER_WORKLOADS:
-        base_faults = cells[(workload, "mglru")].mean_faults() or float("nan")
+        base = cells[(workload, "mglru", "zram", 0.5)]
+        base_faults = base.mean_faults() or float("nan")
         for policy in PAPER_POLICIES:
-            rel = cells[(workload, policy)].mean_faults() / base_faults
+            rel = cells[(workload, policy, "zram", 0.5)].mean_faults() / base_faults
             rows.append([WORKLOAD_LABELS[workload], POLICY_LABELS[policy], rel])
             data[f"{workload}/{policy}"] = {"rel_faults": rel}
     text = render_table(
@@ -636,12 +667,17 @@ def fig11(
     base_seed: int = 10_000,
 ) -> FigureResult:
     """Change in runtime and faults when swapping to ZRAM instead of SSD."""
+    grid = [
+        (w, p, s, 0.5)
+        for w in PAPER_WORKLOADS for p in ("clock", "mglru") for s in ("ssd", "zram")
+    ]
+    cells = _cells(runner, grid, n_trials, base_seed)
     rows = []
     data: Dict[str, object] = {}
     for workload in PAPER_WORKLOADS:
         for policy in ("clock", "mglru"):
-            ssd = _cell(runner, workload, policy, "ssd", 0.5, n_trials, base_seed)
-            zram = _cell(runner, workload, policy, "zram", 0.5, n_trials, base_seed)
+            ssd = cells[(workload, policy, "ssd", 0.5)]
+            zram = cells[(workload, policy, "zram", 0.5)]
             runtime_ratio = zram.mean_runtime_ns() / ssd.mean_runtime_ns()
             fault_ratio = (
                 zram.mean_faults() / ssd.mean_faults()
@@ -688,8 +724,8 @@ def fig12(
     base_seed: int = 10_000,
 ) -> FigureResult:
     """YCSB tail latencies with ZRAM swap (50%)."""
-    rows, data = _tail_rows(
-        runner, "zram", 0.5, ("clock", "mglru"), n_trials, base_seed
+    [(rows, data)] = _tail_rows(
+        runner, "zram", (0.5,), ("clock", "mglru"), n_trials, base_seed
     )
     text = render_table(
         ["workload", "policy", "op", "p90 (us)", "p99 (us)", "p99.9 (us)", "p99.99 (us)"],

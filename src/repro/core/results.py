@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -88,19 +88,66 @@ class TrialResult:
         return out
 
 
-@dataclass
 class ExperimentResult:
-    """All trials of one experiment cell."""
+    """All trials of one experiment cell.
 
-    workload: str
-    policy: str
-    swap: str
-    capacity_ratio: float
-    trials: List[TrialResult] = field(default_factory=list)
+    A pooled :class:`~repro.core.experiment.ExperimentRunner` returns
+    the cell before its trials finish (see :meth:`pending`): the first
+    read of :attr:`trials` waits for them.  Every accessor below reads
+    :attr:`trials`, so callers need not know which kind they hold.
+    """
 
-    def __post_init__(self) -> None:
-        for t in self.trials:
-            self._check(t)
+    def __init__(
+        self,
+        workload: str,
+        policy: str,
+        swap: str,
+        capacity_ratio: float,
+        trials: Iterable[TrialResult] = (),
+    ) -> None:
+        self.workload = workload
+        self.policy = policy
+        self.swap = swap
+        self.capacity_ratio = capacity_ratio
+        self._trials: List[TrialResult] = []
+        self._collect: Optional[Callable[[], Iterable[TrialResult]]] = None
+        self._error: Optional[Exception] = None
+        for trial in trials:
+            self.add(trial)
+
+    @classmethod
+    def pending(
+        cls,
+        workload: str,
+        policy: str,
+        swap: str,
+        capacity_ratio: float,
+        collect: Callable[[], Iterable[TrialResult]],
+    ) -> "ExperimentResult":
+        """A cell whose trials *collect* returns, called on first read.
+
+        If *collect* raises, that read and every later one raise its
+        exception, and the cell never holds a partial set of trials.
+        """
+        result = cls(workload, policy, swap, capacity_ratio)
+        result._collect = collect
+        return result
+
+    @property
+    def trials(self) -> List[TrialResult]:
+        """The cell's trials in seed order (waits for a pending cell)."""
+        if self._collect is not None:
+            try:
+                trials = list(self._collect())
+                for trial in trials:
+                    self._check(trial)
+            except Exception as exc:
+                self._collect, self._error = None, exc
+                raise
+            self._collect, self._trials = None, trials
+        if self._error is not None:
+            raise self._error
+        return self._trials
 
     def _check(self, trial: TrialResult) -> None:
         if (

@@ -5,9 +5,10 @@ already travels back from its ``REPRO_JOBS`` worker inside the pickled
 ``TrialResult``, so the grid-level aggregator is just a consumer of
 completed trials.  :class:`GridTelemetry` plugs into
 ``ExperimentRunner(telemetry=...)`` and is fed once per finished trial
-— in the serial loop, the parallel per-cell loop, and the
-``run_many`` fan-out alike — merging each snapshot into a per-cell and
-a grid-wide registry and (on a TTY) redrawing a one-line health view:
+— as the serial loop runs it, or when a pooled cell is first read
+(``run_many`` reads every cell it runs) — merging each snapshot into a
+per-cell and a grid-wide registry and (on a TTY) redrawing a one-line
+health view:
 
     [3/12 cells · 14/48 trials · 1.8M acc/s] clock/ssd@50% fault p50 8.2us p99 1.3ms
 
