@@ -72,9 +72,9 @@ class ExperimentConfig:
     #: Per-trial trace capture; ``None`` (the default) means tracing is
     #: off and trials run the zero-overhead untraced path.
     trace: Optional[TraceConfig] = None
-    #: Per-trial metrics registry; ``None`` (the default) means the
-    #: metrics hooks stay detached and trials run the zero-overhead
-    #: unmetered path.
+    #: Per-trial metrics registry; ``None`` (the default) means no
+    #: metrics recorder attaches to the observer bus and trials run the
+    #: zero-overhead unmetered path.
     metrics: Optional[MetricsConfig] = None
 
     def __post_init__(self) -> None:

@@ -79,15 +79,17 @@ def run_trial(
     """One full workload execution on a fresh simulator.
 
     With ``trace`` set (and enabled), a :class:`TraceSession` attaches
-    ring-buffer probes to the tracepoints and samples vmstat for the
-    trial's duration; the capture comes back on ``TrialResult.trace``.
-    With ``metrics`` set (and enabled), a :class:`MetricsSession`
-    attaches recorders to the metrics hooks and the aggregate registry
-    comes back on ``TrialResult.metrics_registry``.  With ``spans``
-    set, a :class:`~repro.spans.SpanRecorder` installs in the observer
-    slots and the finished :class:`~repro.spans.SpanTable` comes back
-    on ``TrialResult.spans``.  Probes and recorders are passive, so
-    traced/metered/spanned trials are bit-identical to bare ones.
+    ring-buffer probes to the observer bus
+    (:mod:`repro.trace.tracepoints`) and samples vmstat for the trial's
+    duration; the capture comes back on ``TrialResult.trace``.  With
+    ``metrics`` set (and enabled), a :class:`MetricsSession` attaches
+    its recorders and the aggregate registry comes back on
+    ``TrialResult.metrics_registry``.  With ``spans`` set, a
+    :class:`~repro.spans.SpanRecorder` attaches and the finished
+    :class:`~repro.spans.SpanTable` comes back on ``TrialResult.spans``.
+    Probes and recorders are passive, so traced/metered/spanned trials
+    are bit-identical to bare ones, and every consumer detaches when
+    the run ends, normally or not.
     """
     engine = Engine()
     rng = RngTree(seed)
@@ -105,22 +107,26 @@ def run_trial(
     session: Optional[TraceSession] = None
     if trace is not None and trace.enabled:
         session = TraceSession(trace, system)
-        session.start()
     mx_session: Optional[MetricsSession] = None
     if metrics is not None and metrics.enabled:
         mx_session = MetricsSession(
             metrics, system, cache_baseline=cache_baseline
         )
-        mx_session.start()
     recorder: Optional[SpanRecorder] = None
     if spans is not None:
         recorder = SpanRecorder(engine, spans)
-        recorder.install(system)
-        if spans.profile_interval_ns > 0:
-            engine.spawn(
-                recorder.run_profiler(), name="spans-profiler", daemon=True
-            )
     try:
+        if session is not None:
+            session.start()
+        if mx_session is not None:
+            mx_session.start()
+        if recorder is not None:
+            recorder.install(system)
+            if spans.profile_interval_ns > 0:
+                engine.spawn(
+                    recorder.run_profiler(), name="spans-profiler",
+                    daemon=True,
+                )
         workload.setup(system)
         system.start()
         workload.spawn(system)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.metrics.registry import Histogram, MetricsRegistry
+from repro.histogram import Histogram
+from repro.metrics.registry import MetricsRegistry
 
 
 class TenantAgg:

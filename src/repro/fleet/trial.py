@@ -5,7 +5,7 @@
 per (config, policy, seed), returning one JSON-safe *row* for the
 :class:`~repro.fleet.sink.JsonlSink`.  Memory stays bounded regardless
 of request count: per-tenant latency distributions are streaming log2
-:class:`~repro.metrics.registry.Histogram`\\ s (64 integers each), never
+:class:`~repro.histogram.Histogram`\\ s (64 integers each), never
 per-request arrays.
 
 Layout and traffic both come from named RNG streams, so serial and
@@ -27,8 +27,7 @@ from repro.core.config import SystemConfig
 from repro.core.experiment import DATASET_SEED
 from repro.fleet.config import FleetConfig, TenantShape, apportion_requests
 from repro.memcg import MemCgroup, MemcgPolicy, audit_usage
-from repro.metrics import hooks as _mx
-from repro.metrics.registry import Histogram
+from repro.histogram import Histogram
 from repro.mm.page import PageKind
 from repro.mm.system import MemorySystem
 from repro.policies import make_policy
@@ -38,6 +37,7 @@ from repro.sim.events import Compute, Sleep
 from repro.sim.rng import RngTree
 from repro.spans import SpanRecorder, SpansConfig
 from repro.swapdev import SSDSwapDevice, ZRAMSwapDevice
+from repro.trace import tracepoints as _tp
 from repro.workloads import datasets
 from repro.workloads.kvstore import KVStore
 from repro.workloads.zipf import ZipfSampler
@@ -64,7 +64,7 @@ class _LaneStats:
     """Process-global fleet serving-lane telemetry.
 
     Always-on counters (two integer adds per KEY_BATCH), independent of
-    the metrics plane; the ``fleet_batch``/``fleet_lane`` hooks feed the
+    the metrics plane; the ``fleet_batch``/``fleet_lane`` events feed the
     same numbers into a :class:`~repro.metrics.session.MetricsSession`
     registry as ``repro_fleet_*`` metrics.  Both serving lanes report
     identical request/residue counts for the same cell — only the
@@ -119,8 +119,8 @@ def psi_enabled() -> bool:
 
     PSI is a pure observer: enabling it adds a ``psi`` section to rows
     and tenant entries but leaves every pre-existing field byte-
-    identical, and PSI-off runs carry zero per-event cost (the stall
-    sites gate on ``system.psi is None``).
+    identical, and PSI-off runs pay only the observer bus's ``is None``
+    tests (:mod:`repro.trace.tracepoints`).
     """
     return env_flag("REPRO_PSI", False)
 
@@ -130,7 +130,8 @@ def spans_enabled() -> bool:
 
     Same observer contract as PSI: spans-on adds a ``spans`` section to
     rows and tenant entries, leaves every pre-existing field
-    byte-identical, and spans-off runs pay only the ``is None`` gates.
+    byte-identical, and spans-off runs pay only the observer bus's
+    ``is None`` tests.
     """
     return env_flag("REPRO_SPANS", False)
 
@@ -249,10 +250,10 @@ class _TenantState:
         self.slo_violations = 0
         self.major_faults = 0
         self.minor_faults = 0
-        #: Coalesced SLO-violation windows ``[deadline, completion]``
-        #: (only populated while PSI is on; the attribution section
-        #: overlaps them against the tenant's PSI stall intervals).
-        self.viol_intervals: List[List[int]] = []
+        #: Coalesced SLO-violation windows ``[deadline, completion]``,
+        #: a list only while PSI is on (the attribution section overlaps
+        #: them against the tenant's PSI stall intervals).
+        self.viol_intervals: Optional[List[List[int]]] = None
 
 
 def _viol_add(intervals: List[List[int]], start: int, end: int) -> None:
@@ -322,10 +323,9 @@ def _tenant_body(
     c = shape.request_compute_ns
     fault_hist = state.fault_hist
     request_hist = state.request_hist
-    # PSI attribution wants the tenant's SLO-violation windows; the
-    # tracker installs before the engine runs, so the slot is settled
-    # by the time this generator first executes.
-    viol = state.viol_intervals if system.psi is not None else None
+    # PSI attribution wants the tenant's SLO-violation windows (None
+    # while PSI is off).
+    viol = state.viol_intervals
     pending_ns = 0
     #: Arrivals of hit requests whose burst has not flushed yet.
     waiting: List[int] = []
@@ -424,8 +424,8 @@ def _tenant_body(
         LANE_STATS.requests += batch
         LANE_STATS.residue_requests += n_residue
         LANE_STATS.batches += 1
-        if _mx.fleet_batch is not None:
-            _mx.fleet_batch(batch, n_residue)
+        if _tp.fleet_batch is not None:
+            _tp.fleet_batch(batch, n_residue)
     if pending_ns:
         yield Compute(pending_ns)
     flush_observe()
@@ -496,7 +496,7 @@ def _tenant_body_fast(
     c = shape.request_compute_ns
     fault_hist = state.fault_hist
     request_hist = state.request_hist
-    viol = state.viol_intervals if system.psi is not None else None
+    viol = state.viol_intervals
     # Per-tenant flat-index maps, translated once: the tenant's layout
     # is static, so per-batch lookups reduce to one gather each.
     index_map = flat.translate(index_start + np.arange(store.n_index_pages))
@@ -836,8 +836,8 @@ def _tenant_body_fast(
         LANE_STATS.requests += batch
         LANE_STATS.residue_requests += n_residue
         LANE_STATS.batches += 1
-        if _mx.fleet_batch is not None:
-            _mx.fleet_batch(batch, n_residue)
+        if _tp.fleet_batch is not None:
+            _tp.fleet_batch(batch, n_residue)
     if pending_ns:
         yield Compute(pending_ns)
     flush_observe()
@@ -998,14 +998,17 @@ def run_fleet_trial(
     ]
     shares = apportion_requests(config.n_requests_total, weights)
     states = [_TenantState() for _ in range(n)]
+    if psi_config is not None:
+        for state in states:
+            state.viol_intervals = []
     w_sum = sum(weights)
     body = _tenant_body_fast if fast_fleet else _tenant_body
     if fast_fleet:
         LANE_STATS.fast_trials += 1
     else:
         LANE_STATS.scalar_trials += 1
-    if _mx.fleet_lane is not None:
-        _mx.fleet_lane(bool(fast_fleet))
+    if _tp.fleet_lane is not None:
+        _tp.fleet_lane(bool(fast_fleet))
     for i in range(n):
         if shares[i] == 0:
             continue
@@ -1033,43 +1036,46 @@ def run_fleet_trial(
             f"tenant-{i}",
         )
 
-    # PSI installs *before* the engine runs: a pure observer (two
-    # ``None``-default slots on system/cpu plus a Sleep-only sampler
-    # daemon), so PSI-on leaves every pre-existing row field
-    # byte-identical to PSI-off.
+    # PSI and spans attach to the observer bus *before* the engine
+    # runs: pure observers (probes plus a Sleep-only sampler or
+    # profiler daemon), so PSI-on and spans-on rows stay byte-identical
+    # in every pre-existing field.
     tracker: Optional[PsiTracker] = None
     if psi_config is not None:
         tracker = PsiTracker(engine, psi_config)
         for cg in cgroups:
             tracker.add_group(cg, record_intervals=True)
-        tracker.install(system)
         engine.spawn(
             tracker.run_sampler(), name="psi-sampler", daemon=True
         )
-
-    # Spans install under the identical observer contract: three
-    # ``None``-default slots plus an optional Sleep-only profiler
-    # daemon, so spans-on rows stay byte-identical in every
-    # pre-existing field.
     recorder: Optional[SpanRecorder] = None
     if spans_config is not None:
         recorder = SpanRecorder(engine, spans_config)
-        recorder.install(system)
         if spans_config.profile_interval_ns > 0:
             engine.spawn(
                 recorder.run_profiler(), name="spans-profiler",
                 daemon=True,
             )
-
-    system.start()
-    runtime_ns = engine.run()
+    try:
+        if tracker is not None:
+            tracker.install(system)
+        if recorder is not None:
+            recorder.install(system)
+        system.start()
+        runtime_ns = engine.run()
+    finally:
+        # Probes are process-global; detach even on error paths so a
+        # failed trial cannot leak them into the next one.
+        if tracker is not None:
+            tracker.detach()
+        if recorder is not None:
+            recorder.detach()
     audit_usage(system)  # ledger invariant: sum(usage) == frames used
     if tracker is not None:
         tracker.finalize(runtime_ns)
     span_table = None
     if recorder is not None:
         span_table = recorder.finalize(runtime_ns)
-        recorder.detach()
 
     stats = system.stats
     tenants = []

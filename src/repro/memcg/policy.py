@@ -43,6 +43,7 @@ from typing import Any, Iterator, List, Optional, Sequence, TYPE_CHECKING
 from repro.errors import ConfigError, SimulationError
 from repro.mm.swap_cache import ShadowEntry
 from repro.policies.base import ReplacementPolicy
+from repro.trace import tracepoints as _tp
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.memcg.cgroup import MemCgroup
@@ -169,7 +170,6 @@ class MemcgPolicy(ReplacementPolicy):
         requester: Optional["MemCgroup"] = getattr(
             system, "_reclaim_requester", None
         )
-        psi = system.psi
         total = 0
         passes = (
             (_weigh_soft, _weigh_low, _weigh_min, _weigh_usage)
@@ -191,8 +191,8 @@ class MemcgPolicy(ReplacementPolicy):
                     cg.stats.stolen_from += got
                     if requester is not None and requester is not cg:
                         requester.stats.stolen_by += got
-                        if psi is not None:
-                            psi.note_steal(requester.index, cg.index, got)
+                        if _tp.memcg_steal is not None:
+                            _tp.memcg_steal(requester.index, cg.index, got)
         return total
 
     # ------------------------------------------------------------------

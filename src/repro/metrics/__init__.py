@@ -1,7 +1,8 @@
 """``repro.metrics`` — live metrics plane for the simulator.
 
 A Prometheus-style registry (counters, gauges, log2 histograms) fed by
-near-zero-cost hook points on the MM/policy/swap/engine hot paths,
+near-zero-cost events on the MM/policy/swap/engine hot paths (the
+observer bus, :mod:`repro.trace.tracepoints`),
 aggregated across ``REPRO_JOBS`` workers by :class:`GridTelemetry`,
 and consumed by the ``python -m repro.metrics`` CLI (``run`` /
 ``report`` / ``compare``).
@@ -11,17 +12,14 @@ Metering is opt-in per trial via :class:`MetricsConfig` on
 every instrumented call site pays one ``is not None`` test and trials
 are bit-identical to pre-metrics builds.
 
-Note on imports: this package is imported by the innermost simulator
-modules (``sim/engine.py``, ``sim/process.py``) for the hook slots, so
-only the dependency-free leaves (:mod:`hooks`, :mod:`config`,
+Note on imports: only the dependency-free leaves (:mod:`config`,
 :mod:`registry`) load eagerly; the session/telemetry/report layers —
-which reach back into ``repro.trace`` and ``repro.core`` — resolve
-lazily on first attribute access.
+which reach back into ``repro.trace``, ``repro.psi`` and ``repro.core``
+— resolve lazily on first attribute access.
 """
 
 from typing import TYPE_CHECKING
 
-from repro.metrics import hooks
 from repro.metrics.config import MetricsConfig
 from repro.metrics.registry import (
     BUCKET_BOUNDS,
@@ -60,6 +58,5 @@ __all__ = [
     "MetricsConfig",
     "MetricsRegistry",
     "MetricsSession",
-    "hooks",
     "parse_prom_text",
 ]

@@ -6,8 +6,9 @@ a :class:`~repro.metrics.config.MetricsConfig` and the trial's
 ``MemorySystem``, it
 
 - builds a fresh :class:`~repro.metrics.registry.MetricsRegistry`,
-- attaches one passive recorder closure per metrics hook
-  (:meth:`start`), each pre-bound to the child metric it feeds, and
+- attaches one passive recorder closure per event it meters
+  (:mod:`repro.trace.tracepoints`, :meth:`start`), each pre-bound to
+  the child metric it feeds, and
 - at teardown (:meth:`finalize`) detaches every recorder, imports the
   authoritative trial-end counter table, and returns the picklable
   registry that travels back from ``REPRO_JOBS`` workers on
@@ -31,9 +32,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.metrics import hooks
 from repro.metrics.config import MetricsConfig
 from repro.metrics.registry import MetricsRegistry
+from repro.psi import tracker as psi_tracker
+from repro.trace import tracepoints
 
 #: ``MMStats`` / derived counters exported as ``repro_mm_<name>_total``
 #: at finalize.  The list lives in :mod:`repro.trace.vmstat` so the
@@ -139,10 +141,14 @@ class MetricsSession:
         maj_buf = self._buffer_scalars(fault.labels(kind="major"))
         min_buf = self._buffer_scalars(fault.labels(kind="minor"))
 
-        def on_fault(latency_ns, major, _maj=maj_buf.append, _min=min_buf.append):
-            (_maj if major else _min)(latency_ns)
+        def on_major(vpn, latency_ns, write, _b=maj_buf.append):
+            _b(latency_ns)
 
-        self._recorders.append(("fault_service", on_fault))
+        def on_minor(vpn, latency_ns, write, _b=min_buf.append):
+            _b(latency_ns)
+
+        self._recorders.append(("mm_fault_major", on_major))
+        self._recorders.append(("mm_fault_minor", on_minor))
 
         # -- reclaim ----------------------------------------------------
         rmap_chunks = self._buffer_chunks(
@@ -165,11 +171,13 @@ class MetricsSession:
             unit="pages",
         ).labels()
 
-        def on_scan(n_scanned, n_young, _s=scanned, _y=young):
-            _s.inc(n_scanned)
-            _y.inc(n_young)
+        def on_scan(pages, flags, list_id, _s=scanned, _y=young):
+            # ``flags`` None: the policy never reads the accessed bit,
+            # so every triaged page counts as scanned, none as young.
+            _s.inc(len(pages))
+            _y.inc(sum(flags) if flags is not None else 0)
 
-        self._recorders.append(("reclaim_scan", on_scan))
+        self._recorders.append(("mm_vmscan_scan", on_scan))
 
         evict_buf = self._buffer_scalars(
             reg.histogram(
@@ -179,7 +187,12 @@ class MetricsSession:
                 unit="pages",
             ).labels()
         )
-        self._recorders.append(("evict_block", evict_buf.append))
+
+        def on_wait(kind, memcg, memstall, subject, _b=evict_buf.append):
+            if kind == "evict_triage":  # an eviction block starts
+                _b(len(subject))
+
+        self._recorders.append(("wait_begin", on_wait))
 
         # -- swap I/O ---------------------------------------------------
         swap = reg.histogram(
@@ -201,15 +214,17 @@ class MetricsSession:
             swap.labels(device=device_name, op="write")
         )
 
-        def on_swap_io(latency_ns, is_write, _r=read_buf.append, _w=write_buf.append):
+        def on_swap_io(
+            vpn, latency_ns, is_write, _r=read_buf.append, _w=write_buf.append
+        ):
             (_w if is_write else _r)(latency_ns)
 
         def on_swap_batch(
-            latencies, is_write, _r=read_chunks.append, _w=write_chunks.append
+            pages, latencies, is_write, _r=read_chunks.append, _w=write_chunks.append
         ):
             (_w if is_write else _r)(latencies)
 
-        self._recorders.append(("swap_io", on_swap_io))
+        self._recorders.append(("swap_io_done", on_swap_io))
         self._recorders.append(("swap_io_batch", on_swap_batch))
 
         # -- MG-LRU generation ages ------------------------------------
@@ -221,14 +236,13 @@ class MetricsSession:
         ).labels()
         births: Dict[int, int] = {0: 0}  # gen 0 exists from t=0
 
-        def on_gen_created(seq, _b=births, _e=engine):
-            _b[seq] = _e._now
+        def on_gen_step(min_seq, max_seq, created, _b=births, _e=engine, _h=gen_age):
+            if created:
+                _b[max_seq] = _e._now
+            else:  # min_seq advanced past the retired generation
+                _h.observe(_e._now - _b.pop(min_seq - 1, 0))
 
-        def on_gen_retired(seq, _b=births, _e=engine, _h=gen_age):
-            _h.observe(_e._now - _b.pop(seq, 0))
-
-        self._recorders.append(("mglru_gen_created", on_gen_created))
-        self._recorders.append(("mglru_gen_retired", on_gen_retired))
+        self._recorders.append(("mglru_gen_step", on_gen_step))
 
         # -- engine / threads ------------------------------------------
         events = reg.counter(
@@ -312,11 +326,11 @@ class MetricsSession:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Attach every recorder to its hook (idempotent)."""
+        """Attach every recorder to its event (idempotent)."""
         if self._attached:
             return
         for name, recorder in self._recorders:
-            hooks.attach(name, recorder)
+            tracepoints.attach(name, recorder)
         self._attached = True
 
     def detach(self) -> None:
@@ -324,7 +338,7 @@ class MetricsSession:
         if not self._attached:
             return
         for name, recorder in self._recorders:
-            hooks.detach(name, recorder)
+            tracepoints.detach(name, recorder)
         self._attached = False
 
     def finalize(
@@ -433,9 +447,9 @@ class MetricsSession:
 
     def _import_psi_counters(self) -> None:
         """Import trial-end PSI group totals when a tracker is
-        installed (``system.psi``); a no-op otherwise, so metrics-on
-        PSI-off registries are unchanged."""
-        tracker = getattr(self.system, "psi", None)
+        installed (:func:`repro.psi.tracker.installed`); a no-op
+        otherwise, so metrics-on PSI-off registries are unchanged."""
+        tracker = psi_tracker.installed()
         if tracker is None:
             return
         reg = self.registry

@@ -23,8 +23,8 @@ from __future__ import annotations
 import abc
 from typing import Any, Iterator, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.metrics import hooks as _mx
 from repro.mm.swap_cache import ShadowEntry
+from repro.trace import tracepoints as _tp
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.mm.page import Page
@@ -131,8 +131,8 @@ class ReplacementPolicy(abc.ABC):
         system = self.system
         assert system is not None
         costs = system.rmap.walk_costs_ns(n)
-        if _mx.rmap_walk_block is not None:
-            _mx.rmap_walk_block(costs)
+        if _tp.rmap_walk_block is not None:
+            _tp.rmap_walk_block(costs)
         return sum(costs)
 
     def _snapshot_accessed(self, block: Sequence["Page"]) -> List[bool]:

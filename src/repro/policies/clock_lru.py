@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-from repro.metrics import hooks as _mx
 from repro.mm.intrusive_list import IntrusiveList
 from repro.mm.page import Page
 from repro.mm.swap_cache import ShadowEntry
@@ -98,7 +97,6 @@ class ClockLRUPolicy(ReplacementPolicy):
         system = self.system
         reclaimed = 0
         scanned = 0
-        tp_scan = _tp.mm_vmscan_scan
         while reclaimed < nr_pages and scanned < SCAN_BUDGET_PER_RECLAIM:
             if self._inactive_is_low():
                 yield from self._refill_inactive()
@@ -118,12 +116,10 @@ class ClockLRUPolicy(ReplacementPolicy):
             # accessed-bit snapshot instead of a walk per page.
             yield Compute(self._walk_block_ns(len(block)))
             flags = self._snapshot_accessed(block)
-            if _mx.reclaim_scan is not None:
-                _mx.reclaim_scan(len(block), sum(flags))
+            if _tp.mm_vmscan_scan is not None:
+                _tp.mm_vmscan_scan(block, flags, 0)
             cold = []
             for page, young in zip(block, flags):
-                if tp_scan is not None:
-                    tp_scan(page.vpn, int(young), 0)
                 if young:
                     # Second chance: promote to the active list.
                     page.accessed = False
@@ -174,12 +170,9 @@ class ClockLRUPolicy(ReplacementPolicy):
             return
         yield Compute(self._walk_block_ns(len(block)))
         flags = self._snapshot_accessed(block)
-        if _mx.reclaim_scan is not None:
-            _mx.reclaim_scan(len(block), sum(flags))
-        tp_scan = _tp.mm_vmscan_scan
+        if _tp.mm_vmscan_scan is not None:
+            _tp.mm_vmscan_scan(block, flags, 1)
         for page, young in zip(block, flags):
-            if tp_scan is not None:
-                tp_scan(page.vpn, int(young), 1)
             if young:
                 page.accessed = False
                 self.active.push_head(page)  # rotate the clock hand

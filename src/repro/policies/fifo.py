@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-from repro.metrics import hooks as _mx
 from repro.mm.intrusive_list import IntrusiveList
 from repro.mm.page import Page
 from repro.mm.swap_cache import ShadowEntry
 from repro.policies.base import ReplacementPolicy
+from repro.trace import tracepoints as _tp
 
 
 class FIFOPolicy(ReplacementPolicy):
@@ -64,10 +64,9 @@ class FIFOPolicy(ReplacementPolicy):
             if not block:
                 break
             attempts += len(block)
-            if _mx.reclaim_scan is not None:
-                # FIFO never reads the accessed bit: every triaged page
-                # counts as scanned, none as young.
-                _mx.reclaim_scan(len(block), 0)
+            if _tp.mm_vmscan_scan is not None:
+                # FIFO never reads the accessed bit: no young flags.
+                _tp.mm_vmscan_scan(block, None, 0)
             n_ok, aborted = yield from system.evict_pages(block)
             reclaimed += n_ok
             for page in aborted:

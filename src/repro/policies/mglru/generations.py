@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.errors import SimulationError
-from repro.metrics import hooks as _mx
 from repro.mm.intrusive_list import IntrusiveList
 from repro.mm.page import Page
 from repro.trace import tracepoints as _tp
@@ -89,9 +88,7 @@ class GenerationLists:
         self.max_seq += 1
         self.aging_events += 1
         if _tp.mglru_gen_step is not None:
-            _tp.mglru_gen_step(self.min_seq, self.max_seq)
-        if _mx.mglru_gen_created is not None:
-            _mx.mglru_gen_created(self.max_seq)
+            _tp.mglru_gen_step(self.min_seq, self.max_seq, True)
         return True
 
     def try_advance_min_seq(self) -> bool:
@@ -104,9 +101,7 @@ class GenerationLists:
         self._lists.pop(self.min_seq, None)
         self.min_seq += 1
         if _tp.mglru_gen_step is not None:
-            _tp.mglru_gen_step(self.min_seq, self.max_seq)
-        if _mx.mglru_gen_retired is not None:
-            _mx.mglru_gen_retired(self.min_seq - 1)
+            _tp.mglru_gen_step(self.min_seq, self.max_seq, False)
         return True
 
     # ------------------------------------------------------------------

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-from repro.metrics import hooks as _mx
 from repro.mm.page import Page, PageKind
 from repro.mm.swap_cache import ShadowEntry
 from repro.policies.base import ReplacementPolicy
@@ -356,7 +355,6 @@ class MGLRUPolicy(ReplacementPolicy):
         reclaimed = 0
         scanned = 0
         inline_walks = 0
-        tp_scan = _tp.mm_vmscan_scan
         while reclaimed < nr_pages and scanned < SCAN_BUDGET_PER_RECLAIM:
             want = min(
                 RECLAIM_BATCH,
@@ -393,13 +391,11 @@ class MGLRUPolicy(ReplacementPolicy):
             # accessed-bit snapshot instead of a walk per candidate.
             yield Compute(self._walk_block_ns(len(block)))
             flags = self._snapshot_accessed(block)
-            if _mx.reclaim_scan is not None:
-                _mx.reclaim_scan(len(block), sum(flags))
+            if _tp.mm_vmscan_scan is not None:
+                _tp.mm_vmscan_scan(block, flags, 2)
             cold = []
             hot_regions = []
             for page, young in zip(block, flags):
-                if tp_scan is not None:
-                    tp_scan(page.vpn, int(young), 2)
                 if young:
                     page.accessed = False
                     self._promote_hot_candidate(page)

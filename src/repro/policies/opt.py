@@ -43,7 +43,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.metrics import hooks as _mx
 from repro.mm.page import Page
 from repro.mm.swap_cache import ShadowEntry
 from repro.policies.base import ReplacementPolicy
@@ -252,7 +251,6 @@ class OPTPolicy(ReplacementPolicy):
         system = self.system
         reclaimed = 0
         scanned = 0
-        tp_scan = _tp.mm_vmscan_scan
         while reclaimed < nr_pages and scanned < SCAN_BUDGET_PER_RECLAIM:
             want = min(
                 RECLAIM_BATCH,
@@ -272,12 +270,10 @@ class OPTPolicy(ReplacementPolicy):
             # accessed-bit snapshot instead of a walk per page.
             yield Compute(self._walk_block_ns(len(block)))
             flags = self._snapshot_accessed(block)
-            if _mx.reclaim_scan is not None:
-                _mx.reclaim_scan(len(block), sum(flags))
+            if _tp.mm_vmscan_scan is not None:
+                _tp.mm_vmscan_scan(block, flags, SCAN_LRU_KIND)
             cold = []
             for page, young in zip(block, flags):
-                if tp_scan is not None:
-                    tp_scan(page.vpn, int(young), SCAN_LRU_KIND)
                 if young:
                     # Second chance: the prediction undershot — refresh
                     # it from now and re-queue.

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional
 
-from repro.metrics import hooks as _mx
 from repro.mm.page import Page
 from repro.mm.swap_cache import ShadowEntry
 from repro.policies.base import ReplacementPolicy
+from repro.trace import tracepoints as _tp
 
 
 class RandomPolicy(ReplacementPolicy):
@@ -88,9 +88,9 @@ class RandomPolicy(ReplacementPolicy):
             if not block:
                 break
             attempts += len(block)
-            if _mx.reclaim_scan is not None:
+            if _tp.mm_vmscan_scan is not None:
                 # Random victims are never access-checked before I/O.
-                _mx.reclaim_scan(len(block), 0)
+                _tp.mm_vmscan_scan(block, None, 0)
             n_ok, aborted = yield from system.evict_pages(block)
             reclaimed += n_ok
             for page in aborted:

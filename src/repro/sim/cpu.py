@@ -92,12 +92,6 @@ class CPU:
         self._armed_rate = 0.0
         #: Integral of busy logical CPUs over time (ns·cpus).
         self.busy_cpu_ns = 0.0
-        #: PSI tracker observer slot (None = PSI off; same gate
-        #: discipline as the tracepoint module slots).  The span
-        #: recorder needs no slot here: its sim-time profiler samples
-        #: ``_heap`` directly (pull model), so the submit path carries
-        #: no spans branch at all.
-        self.psi = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -175,14 +169,7 @@ class CPU:
                 delay = 0
             engine.schedule1(delay, self._on_timer, version)
         if _tp.sched_runnable is not None:
-            _tp.sched_runnable(n)
-        psi = self.psi
-        if psi is not None:
-            # A job of a memstalled thread (reclaim CPU burn) is
-            # unproductive; anything else keeps the system out of
-            # *full* stall.  ``in_memstall`` cannot change while this
-            # job is in flight — the owning generator is suspended.
-            psi.cpu_begin(thread.in_memstall)
+            _tp.sched_runnable(n, thread, None)
         return False
 
     def ahead_bound(self) -> int:
@@ -217,7 +204,7 @@ class CPU:
         Each job replays its completion timer's round trip (see the
         module docstring): its own float service and ceiling delay, one
         CPU and one engine sequence number, two timer versions, and the
-        ``sched_runnable``/PSI calls at its own start and end instants.
+        ``sched_runnable`` events at its own start and end instants.
         Returns the delays of the jobs completed, in order; the list
         stops short of *n* where the next job would end after
         :meth:`ahead_bound` or its timer would fire marginally early
@@ -233,7 +220,7 @@ class CPU:
         if bound <= now:
             return delays
         service = self._service
-        psi = self.psi
+        sched = _tp.sched_runnable
         while n:
             n -= 1
             target = service + work_ns
@@ -254,19 +241,15 @@ class CPU:
             self._timer_version += 2
             # The consumed timer leaves the armed target at -1.
             self._armed_rate = 1.0
-            if _tp.sched_runnable is not None:
-                _tp.sched_runnable(1)
-            if psi is not None:
-                psi.cpu_begin(thread.in_memstall)
+            if sched is not None:
+                sched(1, thread, None)
             engine._now = now = when
             self._service = service = served
             self.busy_cpu_ns += delay
             self._last_update = when
             # The rate stays 1.0, as on every idle CPU.
-            if _tp.sched_runnable is not None:
-                _tp.sched_runnable(0)
-            if psi is not None:
-                psi.cpu_end(thread.in_memstall)
+            if sched is not None:
+                sched(0, None, (thread,))
             delays.append(delay)
         return delays
 
@@ -347,13 +330,8 @@ class CPU:
                 delay = 0
             self._engine.schedule1(delay, self._on_timer, version)
         if _tp.sched_runnable is not None:
-            _tp.sched_runnable(n)
-        psi = self.psi
-        if psi is not None:
-            # Completions are accounted before any thread resumes, so
-            # each ``in_memstall`` is still the value it had at submit.
-            for thread in done:
-                psi.cpu_end(thread.in_memstall)
+            # Completions are observed before any thread resumes.
+            _tp.sched_runnable(n, None, done)
         # Same-instant guard: while a completed thread still waits to
         # resume at this instant, none may run ahead of it.
         engine = self._engine

@@ -18,8 +18,8 @@ from typing import Any, Callable, Iterator, Optional
 
 from repro._env import env_flag
 from repro.errors import DeadlockError, SimulationError
-from repro.metrics import hooks as _mx
 from repro.sim.process import SimThread
+from repro.trace import tracepoints as _tp
 
 
 def _call0(fn: Callable[[], None]) -> None:
@@ -77,9 +77,10 @@ class Engine:
         self._seq = 0
         self._threads: list[SimThread] = []
         #: The thread whose generator is currently executing (set at the
-        #: top of :meth:`SimThread._step`).  Observability-only — PSI
-        #: stall accounting reads it to attribute stalls to the calling
-        #: thread; nothing in the simulation proper depends on it.
+        #: top of :meth:`SimThread._step`).  Observability-only — event
+        #: consumers (PSI, spans) read it to attribute waits and faults
+        #: to the calling thread; nothing in the simulation proper
+        #: depends on it.
         self.current_thread: Optional[SimThread] = None
         self._running = False
         #: Live non-daemon threads (kept incrementally; checked per event).
@@ -208,7 +209,7 @@ class Engine:
         if self._fast:
             self._ahead_until = until
         try:
-            if _mx.engine_events is not None:
+            if _tp.engine_events is not None:
                 # Metered twin of the loop below; the unmetered loop
                 # stays untouched so metrics-off pays nothing here.
                 return self._run_metered(until)
@@ -303,7 +304,7 @@ class Engine:
             return self._now
         finally:
             n_heap += self._n_ahead - n_ahead
-            hook = _mx.engine_events
+            hook = _tp.engine_events
             if hook is not None and (n_imm or n_heap):
                 hook(n_imm, n_heap)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.metrics import hooks as _mx
 from repro.sim.events import (
     Compute,
     OneShotEvent,
@@ -20,6 +19,7 @@ from repro.sim.events import (
     WaitEvent,
     WaitWaker,
 )
+from repro.trace import tracepoints as _tp
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.sim.cpu import CPU
@@ -52,7 +52,6 @@ class SimThread:
         "done_event",
         "compute_requested_ns",
         "finish_time_ns",
-        "in_memstall",
     )
 
     def __init__(
@@ -81,10 +80,6 @@ class SimThread:
         self.compute_requested_ns = 0
         #: Simulated time at which the thread finished (None if running).
         self.finish_time_ns: Optional[int] = None
-        #: Memory-stall depth (kernel ``task->in_memstall`` analog),
-        #: maintained by the PSI tracker; stable while a Compute is in
-        #: flight because the generator is suspended at that yield.
-        self.in_memstall = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self._finished else "live"
@@ -117,8 +112,8 @@ class SimThread:
             raise SimulationError(f"thread {self.name!r} resumed after finish")
         self._started = True
         engine = self._engine
-        # Observability: anything the generator calls below (PSI stall
-        # sites in particular) can attribute itself to this thread.
+        # Observability: event consumers attribute what the generator
+        # emits below (waits in particular) to this thread.
         engine.current_thread = self
         while True:
             try:
@@ -128,8 +123,8 @@ class SimThread:
                 self._result = stop.value
                 self.finish_time_ns = engine.now
                 engine._thread_finished(self)
-                if _mx.thread_done is not None:
-                    _mx.thread_done(self.compute_requested_ns)
+                if _tp.thread_done is not None:
+                    _tp.thread_done(self.compute_requested_ns)
                 self.done_event.fire(stop.value)
                 return
             # Exact-type dispatch for the two commands that dominate

@@ -11,6 +11,11 @@ Devices that understand batching (SSD, ZRAM) override it with a
 single-completion-event implementation whose per-page service latencies
 are identical to N serial submissions; the default here falls back to
 serial writes so third-party devices keep working unchanged.
+
+Devices emit ``swap_io_submit`` with their exact (queue, service) time
+split *before* sleeping, so span decompositions stay nanosecond-exact,
+and ``swap_io_done`` (``swap_io_batch`` for a batch) at completion; see
+:mod:`repro.trace.tracepoints`.
 """
 
 from __future__ import annotations
@@ -46,11 +51,6 @@ class SwapDevice(abc.ABC):
 
     def __init__(self) -> None:
         self.stats = SwapDeviceStats()
-        #: Span-recorder observer slot (None = spans off).  Devices
-        #: report their exact (queue, service) time split through it
-        #: *before* sleeping, so span decompositions stay nanosecond-
-        #: exact; gate every use on ``is None``.
-        self.spans = None
 
     @abc.abstractmethod
     def read(self, page: Page) -> Iterator[Any]:

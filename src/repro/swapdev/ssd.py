@@ -18,7 +18,6 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from repro.metrics import hooks as _mx
 from repro.mm.costs import SSDCosts
 from repro.mm.page import Page
 from repro.sim.engine import Engine
@@ -99,11 +98,10 @@ class SSDSwapDevice(SwapDevice):
         now = self._engine._now
         begin = self._slot_begin(now)
         done = begin + self._latency_ns(self.costs.read_ns)
-        spans = self.spans
-        if spans is not None:
+        if _tp.swap_io_submit is not None:
             # Analytically exact split: queue = wait for a device slot,
             # service = the transfer itself (sums to the full Sleep).
-            spans.note_device(begin - now, done - begin)
+            _tp.swap_io_submit(begin - now, done - begin)
         self._slot_take(done)
         self._begins.append(begin)
         yield Sleep(done - now)
@@ -112,17 +110,14 @@ class SSDSwapDevice(SwapDevice):
         self.stats.read_wait_ns += waited
         if _tp.swap_io_done is not None:
             _tp.swap_io_done(page.vpn, waited, 0)
-        if _mx.swap_io is not None:
-            _mx.swap_io(waited, 0)
 
     def write(self, page: Page) -> Iterator[Any]:
         """Swap-out: one queued 4 KiB write, one ``Sleep`` event."""
         now = self._engine._now
         begin = self._slot_begin(now)
         done = begin + self._latency_ns(self.costs.write_ns)
-        spans = self.spans
-        if spans is not None:
-            spans.note_device(begin - now, done - begin)
+        if _tp.swap_io_submit is not None:
+            _tp.swap_io_submit(begin - now, done - begin)
         self._slot_take(done)
         self._begins.append(begin)
         yield Sleep(done - now)
@@ -131,8 +126,6 @@ class SSDSwapDevice(SwapDevice):
         self.stats.write_wait_ns += waited
         if _tp.swap_io_done is not None:
             _tp.swap_io_done(page.vpn, waited, 1)
-        if _mx.swap_io is not None:
-            _mx.swap_io(waited, 1)
 
     def write_batch(self, pages: Sequence[Page]) -> Iterator[Any]:
         """Swap-out a whole eviction block in one queued submission.
@@ -158,23 +151,18 @@ class SSDSwapDevice(SwapDevice):
         ends = list(accumulate([latency(base) for _ in pages]))
         total = ends[-1]
         queue_wait = begin - now
-        spans = self.spans
-        if spans is not None:
+        if _tp.swap_io_submit is not None:
             # The caller waits queue_wait + total: one slot services
             # the block's pages back to back.
-            spans.note_device(queue_wait, total)
+            _tp.swap_io_submit(queue_wait, total)
         self._slot_take(begin + total)
         self._begins.append(begin)
         yield Sleep(begin + total - now)
         waits = [queue_wait + end for end in ends]
         self.stats.writes += n
         self.stats.write_wait_ns += sum(waits)
-        tp = _tp.swap_io_done
-        if tp is not None:
-            for page, waited in zip(pages, waits):
-                tp(page.vpn, waited, 1)
-        if _mx.swap_io_batch is not None:
-            _mx.swap_io_batch(waits, 1)
+        if _tp.swap_io_batch is not None:
+            _tp.swap_io_batch(pages, waits, 1)
 
     @property
     def queue_length(self) -> int:

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro._units import PAGE_SIZE
 from repro.errors import SwapFullError
-from repro.metrics import hooks as _mx
 from repro.mm.costs import ZRAMCosts
 from repro.mm.page import Page
 from repro.sim.events import Compute
@@ -67,20 +66,18 @@ class ZRAMSwapDevice(SwapDevice):
         clean swap copies.
         """
         lat = self._latency_ns(self.costs.read_ns)
-        spans = self.spans
-        if spans is not None:
+        if _tp.swap_io_submit is not None:
             # ZRAM never queues (it runs on the faulting CPU): service
             # is the nominal decompress cost; any excess wall time the
             # enclosing frame sees is CPU-contention dilation.
-            spans.note_device(0, lat)
+            _tp.swap_io_submit(0, lat)
         yield Compute(lat)
         self.stats.reads += 1
         if _tp.swap_io_done is not None:
-            # ZRAM service is CPU work: the traced latency is the nominal
-            # (undilated) compute cost, not wall time under contention.
+            # ZRAM service is CPU work: the observed latency is the
+            # nominal (undilated) compute cost, not wall time under
+            # contention.
             _tp.swap_io_done(page.vpn, lat, 0)
-        if _mx.swap_io is not None:
-            _mx.swap_io(lat, 0)
 
     def write(self, page: Page) -> Iterator[Any]:
         """Swap-out: compress on the reclaiming CPU and store."""
@@ -94,9 +91,8 @@ class ZRAMSwapDevice(SwapDevice):
                 f"> {self.pool_limit_bytes}B)"
             )
         lat = self._latency_ns(self.costs.write_ns)
-        spans = self.spans
-        if spans is not None:
-            spans.note_device(0, lat)
+        if _tp.swap_io_submit is not None:
+            _tp.swap_io_submit(0, lat)
         yield Compute(lat)
         old = self._stored.pop(page.vpn, 0)
         self.pool_bytes += size - old
@@ -105,8 +101,6 @@ class ZRAMSwapDevice(SwapDevice):
         self.stats.writes += 1
         if _tp.swap_io_done is not None:
             _tp.swap_io_done(page.vpn, lat, 1)
-        if _mx.swap_io is not None:
-            _mx.swap_io(lat, 1)
 
     def write_batch(self, pages: Sequence[Page]) -> Iterator[Any]:
         """Swap-out a whole eviction block in one CPU burst.
@@ -137,21 +131,17 @@ class ZRAMSwapDevice(SwapDevice):
             sizes.append(size)
             lats.append(self._latency_ns(self.costs.write_ns))
         total = sum(lats)
-        spans = self.spans
-        if spans is not None:
-            spans.note_device(0, total)
+        if _tp.swap_io_submit is not None:
+            _tp.swap_io_submit(0, total)
         yield Compute(total)
-        tp = _tp.swap_io_done
-        for page, size, lat in zip(pages, sizes, lats):
+        for page, size in zip(pages, sizes):
             old = self._stored.pop(page.vpn, 0)
             self.pool_bytes += size - old
             self._stored[page.vpn] = size
             self.pool_peak_bytes = max(self.pool_peak_bytes, self.pool_bytes)
-            self.stats.writes += 1
-            if tp is not None:
-                tp(page.vpn, lat, 1)
-        if _mx.swap_io_batch is not None:
-            _mx.swap_io_batch(lats, 1)
+        self.stats.writes += len(pages)
+        if _tp.swap_io_batch is not None:
+            _tp.swap_io_batch(pages, lats, 1)
 
     def discard(self, page: Page) -> None:
         """Free the stored copy when the system drops a stale slot."""

@@ -21,6 +21,7 @@ from typing import Any, Dict, Iterator, List
 
 import numpy as np
 
+from repro.psi import tracker as psi_tracker
 from repro.sim.events import Sleep
 
 #: Cumulative (monotonically nondecreasing) counters, by source:
@@ -62,8 +63,9 @@ GAUGES = (
 )
 
 #: PSI stall + workingset counters (column-set **version 2**): read
-#: from ``system.psi`` when a tracker is installed, constant zero
-#: otherwise (still monotone, so the column contract is uniform).
+#: from the installed tracker (:func:`repro.psi.tracker.installed`),
+#: constant zero without one (still monotone, so the column contract
+#: is uniform).
 #: Kept out of ``MM_COUNTERS``/``DERIVED_COUNTERS`` — those two tuples
 #: name ``MMStats``/owner attributes that other readers (the metrics
 #: finalizer) iterate with ``getattr``.
@@ -152,7 +154,7 @@ class VmStatSampler:
         rows["swap_writes"].append(dev.writes)
         rows["swap_slot_stores"].append(system.swap.stores)
         rows["swap_slot_loads"].append(system.swap.loads)
-        psi = getattr(system, "psi", None)
+        psi = psi_tracker.installed()
         if psi is None:
             rows["psi_some_total_ns"].append(0)
             rows["psi_full_total_ns"].append(0)

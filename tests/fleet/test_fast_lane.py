@@ -20,7 +20,7 @@ from repro.fleet.report import build_registry, render_markdown
 from repro.fleet.runner import WINDOW_PER_JOB, run_sweep
 from repro.fleet.sink import load_rows
 from repro.fleet.trial import KEY_BATCH, LANE_STATS, fast_fleet_enabled
-from repro.metrics import hooks
+from repro.trace import tracepoints
 
 
 def small_config(**overrides) -> FleetConfig:
@@ -187,15 +187,15 @@ def test_lane_stats_and_metrics_hooks(monkeypatch):
         counts["lanes"].append(bool(fast))
 
     config = small_config(n_requests_total=600)
-    hooks.attach("fleet_batch", on_batch)
-    hooks.attach("fleet_lane", on_lane)
+    tracepoints.attach("fleet_batch", on_batch)
+    tracepoints.attach("fleet_lane", on_lane)
     try:
         LANE_STATS.reset()
         run_fleet_trial(config, "clock", 7, fast_fleet=True)
         run_fleet_trial(config, "clock", 7, fast_fleet=False)
     finally:
-        hooks.detach("fleet_batch", on_batch)
-        hooks.detach("fleet_lane", on_lane)
+        tracepoints.detach("fleet_batch", on_batch)
+        tracepoints.detach("fleet_lane", on_lane)
     # Both lanes classify the same requests as residue (the counters
     # are lane-independent by construction), and the env-independent
     # LANE_STATS mirror matches the hook-fed totals.

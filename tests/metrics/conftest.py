@@ -7,7 +7,8 @@ import pytest
 import repro.workloads as workloads_pkg
 from repro.core.config import SystemConfig
 from repro.core.experiment import run_trial
-from repro.metrics import MetricsConfig, hooks
+from repro.metrics import MetricsConfig
+from repro.trace import tracepoints
 from repro.workloads.tpch import TPCHParams, TPCHWorkload
 
 SEED = 4242
@@ -28,10 +29,10 @@ def tiny_tpch_factory():
 
 @pytest.fixture(autouse=True)
 def no_hook_leaks():
-    """Every test starts and ends with all metrics hooks detached."""
-    hooks.detach_all()
+    """Every test starts and ends with the observer bus detached."""
+    tracepoints.detach_all()
     yield
-    hooks.detach_all()
+    tracepoints.detach_all()
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,6 @@ def metered_trial(tiny_workload):
     config = SystemConfig(policy="mglru", swap="ssd", capacity_ratio=0.5)
     off = run_trial(tiny_workload, config, SEED)
     on = run_trial(tiny_workload, config, SEED, metrics=MetricsConfig())
-    hooks.detach_all()
+    tracepoints.detach_all()
     assert on.metrics_registry is not None
     return off, on

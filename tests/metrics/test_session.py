@@ -6,7 +6,8 @@ from dataclasses import replace
 
 from repro.core.config import SystemConfig
 from repro.core.experiment import run_trial
-from repro.metrics import MetricsConfig, hooks, parse_prom_text
+from repro.metrics import MetricsConfig, parse_prom_text
+from repro.trace import tracepoints
 
 
 def test_metered_trial_is_bit_identical(metered_trial):
@@ -47,7 +48,7 @@ def test_swap_device_label(metered_trial):
 
 
 def test_hooks_detached_after_trial(metered_trial):
-    assert hooks.active() == ()
+    assert tracepoints.active() == ()
 
 
 def test_registry_meta_and_exposition(metered_trial):
@@ -68,7 +69,7 @@ def test_disabled_config_attaches_nothing(tiny_workload):
         metrics=replace(MetricsConfig(), enabled=False),
     )
     assert result.metrics_registry is None
-    assert hooks.active() == ()
+    assert tracepoints.active() == ()
 
 
 def test_import_counters_off_skips_mm_totals(tiny_workload):

@@ -20,15 +20,21 @@ def _run_metered(with_psi: bool):
     if with_psi:
         tracker = PsiTracker(eng)
         tracker.install(system)
-    system.start()
-    run_threads(eng, system, [touch_all(system, vma)])
-    if tracker is not None:
-        tracker.finalize(eng.now)
-    return session.finalize(runtime_ns=eng.now), system
+    try:
+        system.start()
+        run_threads(eng, system, [touch_all(system, vma)])
+        if tracker is not None:
+            tracker.finalize(eng.now)
+        # The finalizer imports the tracker still attached to the bus.
+        return session.finalize(runtime_ns=eng.now), tracker
+    finally:
+        session.detach()
+        if tracker is not None:
+            tracker.detach()
 
 
 def test_psi_counters_exported_when_tracker_installed():
-    registry, system = _run_metered(with_psi=True)
+    registry, tracker = _run_metered(with_psi=True)
     stall = registry.get("repro_psi_memory_stall_us_total")
     assert stall is not None
     some_us = stall.labels(group="system", kind="some").value
@@ -36,12 +42,12 @@ def test_psi_counters_exported_when_tracker_installed():
     # Capacity is a third of the footprint: the toucher must stall.
     assert some_us > 0
     assert 0 <= full_us <= some_us
-    assert some_us == system.psi.system.some_total_ns // 1000
+    assert some_us == tracker.system.some_total_ns // 1000
 
     ws = registry.get("repro_workingset_total")
     assert ws is not None
     refaults = ws.labels(group="system", event="refault").value
-    assert refaults == system.psi.system.ws_refault
+    assert refaults == tracker.system.ws_refault
     # The text exposition round-trips the new families too.
     assert "repro_psi_memory_stall_us_total" in registry.to_prom_text()
 

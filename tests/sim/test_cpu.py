@@ -377,7 +377,6 @@ def _run_mix(fast, pools, threads, daemon):
     for i, (pool, script) in enumerate(threads):
         t = engine.spawn(worker(i, script), name=f"t{i}")
         t.cpu = cpus[pool]
-        t.in_memstall = i % 2
         spawned.append(t)
     if daemon is not None:
         pool, rounds = daemon
@@ -385,14 +384,18 @@ def _run_mix(fast, pools, threads, daemon):
         d.cpu = cpus[pool]
     last = engine.spawn(closer(), name="closer")
     last.cpu = cpus[0]
-    # Every CPU observer call, with its instant.  A stretch logs its
-    # jobs after the CPU call that replays them, so these go apart.
+    # Every CPU event, with its instant and the threads it names.  A
+    # stretch logs its jobs after the CPU call that replays them, so
+    # these go apart.
     calls = []
-    for cpu in cpus:
-        cpu.psi = _PsiLog(engine, calls)
 
-    def probe(a=0, b=0, c=0):
-        calls.append(("sched_runnable", engine.now, a))
+    def probe(n_runnable, started, finished):
+        calls.append((
+            engine.now,
+            n_runnable,
+            None if started is None else started.name,
+            None if finished is None else [t.name for t in finished],
+        ))
 
     _tp.attach("sched_runnable", probe)
     try:
@@ -429,24 +432,7 @@ class TestRunAheadEquivalence:
 
 
 class _Job:
-    """The submitting thread; the CPU reads only its ``in_memstall``."""
-
-    def __init__(self, in_memstall):
-        self.in_memstall = in_memstall
-
-
-class _PsiLog:
-    """PSI stand-in that logs each CPU call with its instant."""
-
-    def __init__(self, engine, log):
-        self.engine = engine
-        self.log = log
-
-    def cpu_begin(self, in_memstall):
-        self.log.append(("cpu_begin", self.engine._now, in_memstall))
-
-    def cpu_end(self, in_memstall):
-        self.log.append(("cpu_end", self.engine._now, in_memstall))
+    """The submitting thread: the CPU only names it in its events."""
 
 
 #: How the engine stands when the lone jobs start: nothing pending but
@@ -455,14 +441,14 @@ class _PsiLog:
 _SETTINGS = ("bound", "heap", "imm", "held", "no_foreground")
 
 
-def _idle_cpu(n_cpus, contended, setting, horizon, in_memstall, psi_on):
+def _idle_cpu(n_cpus, contended, setting, horizon):
     """An idle CPU after a contended phase, poised for lone jobs.
 
     The phase runs *contended* works on ``n_cpus`` CPUs through the
     engine, so processor sharing can leave a fractional ``_service``.
     The engine is then set up as :meth:`Engine.run` would have it, with
     the stretch ending *horizon* ns from now.  Returns the engine, the
-    CPU, the job's thread and the observer log.
+    CPU and the job's thread.
     """
     engine = Engine(fast=True)
     cpu = CPU(engine, n_cpus)
@@ -486,15 +472,12 @@ def _idle_cpu(n_cpus, contended, setting, horizon, in_memstall, psi_on):
         engine._held = 1
     elif setting == "no_foreground":
         engine._n_live_foreground = 0
-    log = []
-    if psi_on:
-        cpu.psi = _PsiLog(engine, log)
-    return engine, cpu, _Job(in_memstall), log
+    return engine, cpu, _Job()
 
 
 def _state(engine, cpu):
     fields = {
-        k: v for k, v in vars(cpu).items() if k not in ("_engine", "psi", "_heap")
+        k: v for k, v in vars(cpu).items() if k not in ("_engine", "_heap")
     }
     return (
         fields,
@@ -508,22 +491,25 @@ def _state(engine, cpu):
 
 
 def _stretch_and_submits(
-    n_cpus, contended, setting, horizon, work, n, in_memstall, psi_on,
-    trace_on,
+    n_cpus, contended, setting, horizon, work, n, observed,
 ):
     """Run one ``run_ahead(thread, work, n)`` and, on an identical
     twin, up to n lone submits while they run ahead.  Returns each
     side's (delays, observer log, final state)."""
     runs = []
     for stretch in (True, False):
-        engine, cpu, job, log = _idle_cpu(
-            n_cpus, contended, setting, horizon, in_memstall, psi_on
-        )
+        engine, cpu, job = _idle_cpu(n_cpus, contended, setting, horizon)
+        log = []
 
-        def probe(a=0, b=0, c=0, engine=engine, log=log):
-            log.append(("sched_runnable", engine._now, a))
+        def probe(n_runnable, started, finished, engine=engine, log=log, job=job):
+            log.append((
+                engine._now,
+                n_runnable,
+                started is job,
+                None if finished is None else [t is job for t in finished],
+            ))
 
-        if trace_on:
+        if observed:
             _tp.attach("sched_runnable", probe)
         try:
             if stretch:
@@ -540,7 +526,7 @@ def _stretch_and_submits(
                         break
                     delays.append(engine._now - start)
         finally:
-            if trace_on:
+            if observed:
                 _tp.detach("sched_runnable", probe)
         runs.append((delays, log, _state(engine, cpu)))
     return runs
@@ -557,9 +543,7 @@ class TestRunAheadStretch:
         horizon=st.integers(0, 400),
         work=st.integers(1, 60),
         n=st.integers(1, 12),
-        in_memstall=st.integers(0, 1),
-        psi_on=st.booleans(),
-        trace_on=st.booleans(),
+        observed=st.booleans(),
     )
     def test_matches_successive_lone_submits(self, **case):
         stretch, submits = _stretch_and_submits(**case)
@@ -572,7 +556,7 @@ class TestRunAheadStretch:
         # wait 26 ns.
         stretch, submits = _stretch_and_submits(
             n_cpus=2, contended=[3, 5, 7], setting="bound", horizon=200,
-            work=25, n=9, in_memstall=0, psi_on=True, trace_on=True,
+            work=25, n=9, observed=True,
         )
         assert stretch == submits
         delays = stretch[0]

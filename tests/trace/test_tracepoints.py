@@ -1,4 +1,4 @@
-"""Tracepoint registry: attach/detach, multicast, disabled-state contract."""
+"""The observer bus: attach/detach, multicast, disabled-state contract."""
 
 from __future__ import annotations
 
@@ -6,12 +6,21 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.trace import tracepoints
-from repro.trace.tracepoints import EVENT_IDS, EVENT_NAMES, TRACEPOINTS
+from repro.trace.tracepoints import EVENT_IDS, EVENT_NAMES, EVENTS, TRACEPOINTS
 
 
 def test_all_slots_none_while_disabled():
-    for name in TRACEPOINTS:
+    for name in EVENTS:
         assert getattr(tracepoints, name) is None
+
+
+def test_tracepoints_lead_the_event_table():
+    # The recorded tracepoints are events too, first and in id order.
+    assert list(EVENTS)[: len(TRACEPOINTS)] == list(TRACEPOINTS)
+    for name, labels in TRACEPOINTS.items():
+        recorded = [label for label in labels if label != "unused"]
+        if name not in ("mm_vmscan_scan", "mm_vmscan_evict"):  # per block
+            assert list(EVENTS[name][: len(recorded)]) == recorded, name
 
 
 def test_event_ids_are_stable_and_nonzero():
