@@ -8,9 +8,10 @@ material for the fleet report's SLO-violation attribution (coalesced
 stall intervals + the global-reclaim steal matrix).
 
 Off by default; a trial opts in by building a :class:`PsiTracker` and
-installing it on its :class:`~repro.mm.system.MemorySystem` before the
-engine runs (the fleet does this when ``run_fleet_trial(..., psi=...)``
-is truthy).  With no tracker installed every instrumented site is a
+installing it on the observer bus (:mod:`repro.trace.tracepoints`)
+before the engine runs (the fleet does this when
+``run_fleet_trial(..., psi=...)`` is truthy), then detaching it in its
+teardown.  With no tracker installed every instrumented site is a
 single ``is None`` test, and simulation results are bit-identical.
 """
 

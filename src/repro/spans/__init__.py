@@ -11,8 +11,9 @@ cross-thread links naming the instigating thread.  Sim time is
 deterministic, so the decomposition is exact to the nanosecond: per
 fault, the segment sums equal the measured end-to-end latency.
 
-Spans-off is the absence of the recorder (``system.spans is None``),
-so disabled runs are bit-identical, exactly like tracepoints and PSI.
+The recorder consumes the observer bus (:mod:`repro.trace.tracepoints`)
+like the other three planes; spans-off is the absence of its probes, so
+disabled runs are bit-identical.
 """
 
 from repro.spans.config import SpansConfig

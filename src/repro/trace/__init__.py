@@ -3,11 +3,12 @@
 The subsystem mirrors the three observability layers Linux MM work
 leans on, scaled to the simulator:
 
-- **Tracepoints** (:mod:`repro.trace.tracepoints`) — named hooks on
-  the MM/policy/swap hot paths (``mm_vmscan_scan``, ``mm_fault_major``,
-  ``swap_io_done``, ``mglru_age``, ...).  Disabled tracepoints are a
-  single ``is not None`` test at the call site, so tracing off costs
-  nothing measurable and changes nothing (traced trials are
+- **Tracepoints** (:mod:`repro.trace.tracepoints`) — the recorded
+  events of the observer bus that all four observability planes
+  consume, named after kernel tracepoints (``mm_vmscan_scan``,
+  ``mm_fault_major``, ``swap_io_done``, ``mglru_age``, ...).  An idle
+  event is a single ``is not None`` test at the call site, so tracing
+  off costs nothing measurable and changes nothing (traced trials are
   bit-identical to untraced ones).
 - **Ring-buffer event capture** (:mod:`repro.trace.ringbuf`,
   :mod:`repro.trace.session`) — ftrace-style bounded buffer with
