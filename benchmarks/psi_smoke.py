@@ -1,4 +1,4 @@
-"""PSI smoke verifier for the CI ``psi-smoke`` job.
+"""PSI smoke verifier for the CI ``observe-smoke`` job.
 
 Checks three contracts over a pair of fleet sinks produced by
 ``python -m repro.fleet run`` (one PSI-off, one PSI-on, same cell):

@@ -1,4 +1,4 @@
-"""Spans smoke verifier for the CI ``spans-smoke`` job.
+"""Spans smoke verifier for the CI ``observe-smoke`` job.
 
 Checks three contracts over a pair of fleet sinks produced by
 ``python -m repro.fleet run`` (one spans-off, one spans-on, same cell):

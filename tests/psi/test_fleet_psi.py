@@ -91,7 +91,7 @@ def test_psi_accepts_a_config_instance():
 # ----------------------------------------------------------------------
 
 def test_psi_sample_series_invariants():
-    """The psi-smoke invariants: totals monotone, full <= some,
+    """The observe-smoke PSI invariants: totals monotone, full <= some,
     averages are percentages."""
     row = run_fleet_trial(pressured_config(), "mglru", 7, psi=True)
     samples = row["psi"]["samples"]
