@@ -1,23 +1,23 @@
-"""Grid dataset-sharing benchmark: multi-seed multi-worker wall clock.
+"""Grid dataset-cache benchmark: multi-seed multi-worker wall clock.
 
 Runs a reference grid — a dataset-heavy PageRank under both headline
 policies at a memory-sufficient ratio, six seeds, two workers — end to
 end through ``ExperimentRunner.run_many`` in three fresh subprocesses.
-Every mode runs the same seed-chunk pool tasks; they differ only in how
-datasets reach the workers:
+Every mode runs the same seed-chunk pool tasks, and in every mode each
+pool worker gets the datasets its trials use; the modes differ only in
+the on-disk trace cache the workers see:
 
-- ``baseline``: no dataset sharing.  ``REPRO_DATASET_SHM=0`` (no
-  shared-memory export, so each worker builds the datasets it needs)
-  and ``REPRO_TRACE_CACHE=off`` (no on-disk cache).
-- ``cold``: the production path against an empty on-disk trace cache —
-  shared-memory datasets, cache misses that populate the cache.
+- ``baseline``: ``REPRO_TRACE_CACHE=off``, so each worker builds the
+  datasets it needs.
+- ``cold``: an empty trace cache — the workers miss, build and store.
 - ``warm``: the same command against the now-populated cache — the
   steady state of iterating on a grid.
 
 All three modes must simulate *bit-identical* results: the parent
 hashes every trial of every cell and fails on any digest mismatch.  It
-also asserts the trace cache actually worked — the cold run must record
-misses and stores, the warm run hits and zero misses.
+also asserts the trace cache actually worked, from the counters each
+pool worker reports: the cold run must record misses and stores, the
+warm run hits and zero misses, and no run an I/O error.
 
 Regression gate: the committed ``BENCH_grid.json`` is the baseline.
 
@@ -62,19 +62,11 @@ import sys
 import tempfile
 import time
 
-#: Env forced per mode.  ``None`` means "remove": the child then runs
-#: the production default (shm on).
-MODE_ENV = {
-    "baseline": {
-        "REPRO_DATASET_SHM": "0",
-        "REPRO_TRACE_CACHE": "off",
-    },
-    "cold": {
-        "REPRO_DATASET_SHM": None,
-        # REPRO_TRACE_CACHE is set per round to the round's temp dir.
-    },
-}
-MODE_ENV["warm"] = MODE_ENV["cold"]
+#: Directory each pool worker writes its trace-cache counters to, and
+#: the ``run_cell_trials`` it wraps; ``_child`` sets both before the pool
+#: forks, so the workers inherit them.
+_SPOOL: pathlib.Path | None = None
+_RUN_CELL_TRIALS = None
 
 
 def _grid_args(args: argparse.Namespace) -> list[str]:
@@ -95,7 +87,23 @@ def _grid_args(args: argparse.Namespace) -> list[str]:
 # Child: run the grid in *this* process and print a JSON summary.
 # ---------------------------------------------------------------------------
 
+def _reporting_cell_trials(*args, **kwargs):
+    """``run_cell_trials`` that then writes this process's trace-cache
+    counters to the spool.  The pool workers, not the process running
+    the grid, load and store the datasets, so their counters are the
+    ones the cache assertions read."""
+    from repro.core import tracecache
+
+    trials = _RUN_CELL_TRIALS(*args, **kwargs)
+    (_SPOOL / f"{os.getpid()}.json").write_text(
+        json.dumps(tracecache.STATS.snapshot())
+    )
+    return trials
+
+
 def _child(args: argparse.Namespace) -> int:
+    global _RUN_CELL_TRIALS, _SPOOL
+    import repro.core.experiment as experiment
     from repro.core import tracecache
     from repro.core.config import ExperimentConfig, SystemConfig
     from repro.core.experiment import ExperimentRunner
@@ -123,11 +131,18 @@ def _child(args: argparse.Namespace) -> int:
         for workload in args.workloads.split(",")
         for policy in args.policies.split(",")
     ]
-    tracecache.STATS.reset()
-    t0 = time.perf_counter()
-    with ExperimentRunner() as runner:  # jobs from REPRO_JOBS
-        results = runner.run_many(configs)
-    wall = time.perf_counter() - t0
+    _RUN_CELL_TRIALS = experiment.run_cell_trials
+    experiment.run_cell_trials = _reporting_cell_trials
+    with tempfile.TemporaryDirectory(prefix="bench-grid-spool-") as spool:
+        _SPOOL = pathlib.Path(spool)
+        t0 = time.perf_counter()
+        with ExperimentRunner() as runner:  # jobs from REPRO_JOBS
+            results = runner.run_many(configs)
+        wall = time.perf_counter() - t0
+        cache = tracecache.CacheStats().snapshot()
+        for path in _SPOOL.glob("*.json"):
+            for name, value in json.loads(path.read_text()).items():
+                cache[name] += value
 
     digest = hashlib.sha256()
     major = minor = trials = 0
@@ -145,7 +160,7 @@ def _child(args: argparse.Namespace) -> int:
         "trials": trials,
         "major_faults": major,
         "minor_faults": minor,
-        "cache": tracecache.STATS.snapshot(),
+        "cache": cache,
         "jobs": runner.jobs,
     }))
     return 0
@@ -161,13 +176,7 @@ def _run_mode(
     """One fresh-process grid run; returns the child's JSON summary."""
     env = dict(os.environ)
     env["REPRO_JOBS"] = str(args.jobs)
-    for name, value in MODE_ENV[mode].items():
-        if value is None:
-            env.pop(name, None)
-        else:
-            env[name] = value
-    if mode in ("cold", "warm"):
-        env["REPRO_TRACE_CACHE"] = cache_dir
+    env["REPRO_TRACE_CACHE"] = "off" if mode == "baseline" else cache_dir
     proc = subprocess.run(
         [sys.executable, __file__, "--child", *_grid_args(args)],
         env=env, capture_output=True, text=True,
@@ -234,7 +243,7 @@ def _check_baseline(
             f"FAIL: grid {label} regressed more than {tolerance:.0%} vs "
             f"{baseline_path} in {mode} mode.  If the drop is expected and "
             "understood, regenerate the baseline; otherwise fix the "
-            "dataset-sharing path.  (--no-check skips this gate.)",
+            "dataset cache path.  (--no-check skips this gate.)",
             file=sys.stderr,
         )
         return 1

@@ -11,52 +11,39 @@ Environment knobs:
   ``max(2, trials // 2)`` since latencies pool across trials);
 - ``REPRO_SEED`` — base seed (default 10000).
 
+A value that is not an integer, a trial count below 1 or a negative
+seed raises :class:`~repro.errors.ConfigError` naming the variable.
+
 Each figure's rendered table is printed and archived under
 ``benchmarks/output/``.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 import pathlib
-import warnings
+from typing import Tuple
 
 import pytest
 
+from repro._env import env_int
 from repro.core.experiment import ExperimentRunner
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
-@functools.lru_cache(maxsize=None)
-def _parse_env_int(name: str, raw: str, default: int) -> int:
-    """Memoized per (name, raw) so a bad value warns once per process,
-    not once per fixture/benchmark that reads it."""
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    if value < 0:
-        warnings.warn(f"{name}={value} is negative; using default {default}")
-        return default
-    return value
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return _parse_env_int(name, raw, default)
+def figure_knobs() -> Tuple[int, int]:
+    """(n_trials, base_seed) from ``REPRO_TRIALS`` and ``REPRO_SEED``."""
+    return (
+        env_int("REPRO_TRIALS", 3, minimum=1),
+        env_int("REPRO_SEED", 10_000, minimum=0),
+    )
 
 
 @pytest.fixture(scope="session")
 def figure_env():
     """(runner, n_trials, base_seed) shared by every figure benchmark."""
-    runner = ExperimentRunner()
-    n_trials = max(1, _env_int("REPRO_TRIALS", 3))
-    base_seed = _env_int("REPRO_SEED", 10_000)
-    return runner, n_trials, base_seed
+    n_trials, base_seed = figure_knobs()
+    return ExperimentRunner(), n_trials, base_seed
 
 
 def archive_figure(result) -> None:

@@ -23,7 +23,6 @@ from repro.errors import ConfigError
 #: Every ``REPRO_*`` variable read by the package and its benchmarks
 #: (``REPRO_TRIALS`` and ``REPRO_SEED`` by ``benchmarks/conftest.py``).
 KNOWN_NAMES: Tuple[str, ...] = (
-    "REPRO_DATASET_SHM",
     "REPRO_FAST_ACCESS",
     "REPRO_FAST_ENGINE",
     "REPRO_FAST_FLEET",

@@ -6,8 +6,10 @@ simulator analogue of the paper's per-execution reboot (§IV).  The
 :class:`ExperimentRunner` repeats trials across seeds and caches cells
 so figure generators can share measurements; with ``REPRO_JOBS`` > 1 it
 ships each cell to a process pool as seed-chunk tasks
-(:func:`run_cell_trials`) that attach the parent's shared-memory
-datasets, and returns the cell before they finish.
+(:func:`run_cell_trials`) and returns the cell before they finish.  The
+parent never builds or loads a dataset: each worker gets the ones its
+trials use from :func:`repro.workloads.datasets.get_dataset` (its own
+memo, the disk cache, or a build), once per pool.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.metrics.config import MetricsConfig
 from repro.metrics.session import MetricsSession
 from repro.mm.system import MemorySystem
 from repro.policies import make_policy
+from repro.policies.base import ReplacementPolicy
 from repro.sim.engine import Engine
 from repro.sim.rng import RngTree
 from repro.spans.config import SpansConfig
@@ -32,7 +35,7 @@ from repro.spans.recorder import SpanRecorder
 from repro.swapdev import SSDSwapDevice, ZRAMSwapDevice
 from repro.trace.config import TraceConfig
 from repro.trace.session import TraceSession
-from repro.workloads import datasets, make_workload
+from repro.workloads import make_workload
 from repro.workloads.base import chunk_bounds
 
 
@@ -41,9 +44,10 @@ def build_system(
     rng: RngTree,
     config: SystemConfig,
     capacity_frames: int,
+    policy: ReplacementPolicy,
 ) -> MemorySystem:
-    """Construct the memory system for one trial."""
-    policy = make_policy(config.policy)
+    """Construct the memory system for one trial: *policy* over
+    *config*'s swap device, CPUs and costs."""
     if config.swap == "ssd":
         device = SSDSwapDevice(engine, rng.stream("ssd"), config.ssd_costs)
     else:
@@ -103,7 +107,10 @@ def run_trial(
     dataset_rng = RngTree(DATASET_SEED).subtree("dataset", workload_name)
     footprint = workload.prepare(dataset_rng)
     capacity = max(64, int(footprint * system_config.capacity_ratio))
-    system = build_system(engine, rng, system_config, capacity)
+    system = build_system(
+        engine, rng, system_config, capacity,
+        make_policy(system_config.policy),
+    )
     session: Optional[TraceSession] = None
     if trace is not None and trace.enabled:
         session = TraceSession(trace, system)
@@ -208,17 +215,13 @@ def run_cell_trials(
     seeds: Sequence[int],
     trace: Optional[TraceConfig] = None,
     metrics: Optional[MetricsConfig] = None,
-    shm_manifest: Optional[Dict[str, Any]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> List[TrialResult]:
     """Run the trials of one cell (a seed chunk), in seed order.
 
-    This is the pool task of a parallel cell: it installs the parent's
-    shared-memory dataset manifest (if any) and runs each seed's trial,
-    so its result equals ``[run_trial(...) for seed in seeds]``.
+    This is the pool task of a parallel cell: its result equals
+    ``[run_trial(...) for seed in seeds]``.
     """
-    if shm_manifest:
-        datasets.install_shm_manifest(shm_manifest)
     trials = []
     for row, seed in enumerate(seeds):
         if progress is not None:
@@ -304,10 +307,6 @@ class ExperimentRunner:
         #: Pooled cells that :meth:`close` has yet to finish.
         self._pending: List[ExperimentResult] = []
         self.telemetry = telemetry
-        #: Shared-memory dataset server (parent side); created lazily on
-        #: the first parallel dispatch, torn down by close().
-        self._shm_server: Optional[Any] = None
-        self._shm_prepared: set = set()
 
     def _note(self, message: str) -> None:
         if self._progress is not None:
@@ -323,12 +322,12 @@ class ExperimentRunner:
         return self._pool
 
     def close(self) -> None:
-        """Finish the outstanding cells, then release workers and
-        shared-memory segments (idempotent).
+        """Finish the outstanding cells, then release the workers
+        (idempotent).
 
         Results read after ``close()`` are complete.  If a cell's trials
-        raise, the pool and segments are still released (queued tasks
-        are cancelled) and the exception is re-raised.
+        raise, the pool is still released (queued tasks are cancelled)
+        and the exception is re-raised.
         """
         try:
             for result in self._pending:
@@ -337,16 +336,12 @@ class ExperimentRunner:
             self._release()
 
     def _release(self) -> None:
-        """Shut the pool down — waiting for running tasks, cancelling
-        queued ones — and unlink every exported dataset segment."""
+        """Shut the pool down, waiting for running tasks and cancelling
+        queued ones."""
         self._pending.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self._shm_server is not None:
-            self._shm_server.shutdown()
-            self._shm_server = None
-            self._shm_prepared.clear()
 
     def __enter__(self) -> "ExperimentRunner":
         return self
@@ -365,38 +360,13 @@ class ExperimentRunner:
         except Exception:
             pass
 
-    def _dataset_manifest(self, workload: str) -> Optional[Dict[str, Any]]:
-        """Build + export *workload*'s dataset over shared memory.
-
-        Returns the manifest (content key → segment handle) shipped with
-        every worker task, or ``None`` when sharing is disabled.  The
-        parent builds each distinct workload's dataset once (hitting its
-        own memo/disk cache), exports every memoized dataset, and reuses
-        segments across calls.
-        """
-        from repro.workloads import shm
-
-        if not datasets.shm_enabled():
-            return None
-        if workload not in self._shm_prepared:
-            make_workload(workload).prepare(
-                RngTree(DATASET_SEED).subtree("dataset", workload)
-            )
-            self._shm_prepared.add(workload)
-        if self._shm_server is None:
-            self._shm_server = shm.ShmServer()
-        for spec, arrays in datasets.memo_items():
-            self._shm_server.export(spec.key, arrays)
-        return self._shm_server.handles or None
-
     def _submit(self, config: ExperimentConfig) -> List[Future]:
         """Fan one cell's seeds over the pool as seed-chunk tasks."""
-        manifest = self._dataset_manifest(config.workload)
         pool = self._ensure_pool()
         return [
             pool.submit(
                 run_cell_trials, config.workload, config.system, chunk,
-                config.trace, config.metrics, manifest,
+                config.trace, config.metrics,
             )
             for chunk in chunk_seeds(list(config.seeds()), self.jobs)
         ]
@@ -450,7 +420,7 @@ class ExperimentRunner:
 
             trials = run_cell_trials(
                 config.workload, config.system, list(config.seeds()),
-                config.trace, config.metrics, None, progress=progress,
+                config.trace, config.metrics, progress=progress,
             )
             for trial in trials:
                 self._observe(config, trial)

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro._env import env_flag, env_int
 from repro.core.config import SystemConfig
-from repro.core.experiment import DATASET_SEED
+from repro.core.experiment import DATASET_SEED, build_system
 from repro.fleet.config import FleetConfig, TenantShape, apportion_requests
 from repro.memcg import MemCgroup, MemcgPolicy, audit_usage
 from repro.histogram import Histogram
@@ -36,7 +36,6 @@ from repro.sim.engine import Engine
 from repro.sim.events import Compute, Sleep
 from repro.sim.rng import RngTree
 from repro.spans import SpanRecorder, SpansConfig
-from repro.swapdev import SSDSwapDevice, ZRAMSwapDevice
 from repro.trace import tracepoints as _tp
 from repro.workloads import datasets
 from repro.workloads.kvstore import KVStore
@@ -946,21 +945,7 @@ def run_fleet_trial(
         capacity_ratio=config.capacity_ratio,
         n_cpus=config.n_cpus,
     )
-    if config.swap == "ssd":
-        device = SSDSwapDevice(
-            engine, rng.stream("ssd"), sys_config.ssd_costs
-        )
-    else:
-        device = ZRAMSwapDevice(rng.stream("zram"), sys_config.zram_costs)
-    system = MemorySystem(
-        engine,
-        rng,
-        root,
-        device,
-        capacity_frames=capacity,
-        n_cpus=config.n_cpus,
-        costs=sys_config.costs,
-    )
+    system = build_system(engine, rng, sys_config, capacity, root)
 
     # Tenant layouts: region-aligned VMA pairs tagged with their memcg.
     starts: List[Any] = []
@@ -1193,23 +1178,7 @@ def run_memcg_trial(
     inner = make_policy(system_config.policy)
     cg = MemCgroup(name="solo", policy=inner)
     root = MemcgPolicy([cg])
-    if system_config.swap == "ssd":
-        device = SSDSwapDevice(
-            engine, rng.stream("ssd"), system_config.ssd_costs
-        )
-    else:
-        device = ZRAMSwapDevice(
-            rng.stream("zram"), system_config.zram_costs
-        )
-    system = MemorySystem(
-        engine,
-        rng,
-        root,
-        device,
-        capacity_frames=capacity,
-        n_cpus=system_config.n_cpus,
-        costs=system_config.costs,
-    )
+    system = build_system(engine, rng, system_config, capacity, root)
     workload.setup(system)
     cg.adopt(system.address_space)
     system.start()

@@ -428,7 +428,7 @@ class MetricsSession:
         "dataset_memo_hits": "get_dataset calls served from the "
         "process memo.",
         "dataset_memo_misses": "get_dataset calls that fell through "
-        "the process memo (to shm, disk, or a rebuild).",
+        "the process memo (to the disk cache or a rebuild).",
     }
 
     def _import_cache_counters(self) -> None:

@@ -62,7 +62,7 @@ PAGERANK_DATASET_GENERATION = 1
 
 
 def build_pagerank_dataset(p: PageRankParams, rng: RngTree) -> dict:
-    """Build the PageRank dataset as plain arrays (cache/shm-portable).
+    """Build the PageRank dataset as plain arrays (cache-portable).
 
     Everything here is a pure function of the fixed dataset seed (§IV
     reruns identical inputs): the CSR graph itself plus the per-thread

@@ -5,6 +5,8 @@ does a ``REPRO_*`` name that no code reads."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import os
 import re
 import subprocess
@@ -23,7 +25,6 @@ from repro.fleet.trial import (
     spans_sample_env,
 )
 from repro.sim.engine import Engine
-from repro.workloads.datasets import shm_enabled
 from tests.conftest import make_small_system
 
 #: Each knob with its default and a read through the code that uses it.
@@ -33,7 +34,6 @@ KNOBS = [
     ("REPRO_FAST_FLEET", True, fast_fleet_enabled),
     ("REPRO_PSI", False, psi_enabled),
     ("REPRO_SPANS", False, spans_enabled),
-    ("REPRO_DATASET_SHM", True, shm_enabled),
 ]
 
 
@@ -54,6 +54,18 @@ def test_boolean_knob(monkeypatch, name, default, read):
 
 
 MIB = 1 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmarks_conftest():
+    """``benchmarks/conftest.py``, loaded by path: it reads
+    ``REPRO_TRIALS`` and ``REPRO_SEED`` for the figure benchmarks."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("benchmarks_conftest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 #: Each valued knob with its reader, its default, values that parse (raw
 #: -> read) and values that must raise.
@@ -80,6 +92,20 @@ VALUED_KNOBS = [
          ("/tmp/traces", Path("/tmp/traces")), ("", Path(DEFAULT_ROOT).expanduser())],
         ["1", "true", "on", "yes", "false", "no", "TRUE", " On ", "Yes"],
     ),
+    (
+        "REPRO_TRIALS",
+        lambda: _benchmarks_conftest().figure_knobs()[0],
+        3,
+        [("25", 25), (" 1\n", 1)],
+        ["abc", "0", "-1", "2.5", ""],
+    ),
+    (
+        "REPRO_SEED",
+        lambda: _benchmarks_conftest().figure_knobs()[1],
+        10_000,
+        [("0", 0), (" 42 ", 42)],
+        ["abc", "-1", "1e4", ""],
+    ),
 ]
 
 
@@ -101,7 +127,11 @@ def test_valued_knob(monkeypatch, name, read, default, good, bad):
 
 
 #: Knobs that no code reads any more, with a value they used to take.
-RETIRED = [("REPRO_FAST_SEEDS", "0"), ("REPRO_DATASET_MEMO", "legacy")]
+RETIRED = [
+    ("REPRO_FAST_SEEDS", "0"),
+    ("REPRO_DATASET_MEMO", "legacy"),
+    ("REPRO_DATASET_SHM", "1"),
+]
 
 
 @pytest.mark.parametrize(

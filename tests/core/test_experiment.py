@@ -8,7 +8,11 @@ import pytest
 
 import repro.workloads as workloads_pkg
 from repro.core.config import ExperimentConfig, SystemConfig
-from repro.core.experiment import ExperimentRunner, run_trial
+from repro.core.experiment import ExperimentRunner, build_system, run_trial
+from repro.policies import make_policy
+from repro.sim.engine import Engine
+from repro.sim.rng import RngTree
+from repro.swapdev import SSDSwapDevice, ZRAMSwapDevice
 from repro.workloads.tpch import TPCHParams, TPCHWorkload
 
 
@@ -28,6 +32,22 @@ def tiny_tpch(monkeypatch):
 
 def zram_config(policy="mglru"):
     return SystemConfig(policy=policy, swap="zram", capacity_ratio=0.5)
+
+
+class TestBuildSystem:
+    @pytest.mark.parametrize(
+        "swap, device", [("ssd", SSDSwapDevice), ("zram", ZRAMSwapDevice)]
+    )
+    def test_given_policy_over_configured_device(self, swap, device):
+        """The caller's policy runs, not the one the config names (the
+        fleet passes its memcg root), on the config's device and CPUs."""
+        config = SystemConfig(policy="clock", swap=swap, n_cpus=2)
+        policy = make_policy("fifo")
+        system = build_system(Engine(), RngTree(1), config, 128, policy)
+        assert system.policy is policy
+        assert type(system.swap_device) is device
+        assert system.cpu.n_cpus == 2
+        assert system.costs is config.costs
 
 
 class TestRunTrial:
