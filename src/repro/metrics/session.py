@@ -308,8 +308,8 @@ class MetricsSession:
 
         fleet_trials = reg.counter(
             "repro_fleet_trials_total",
-            help="Fleet trials by serving lane (fast = vectorized "
-            "REPRO_FAST_FLEET lane, scalar = reference lane).",
+            help="Fleet trials by serving mode (fast = batch shortcut "
+            "on, scalar = shortcut off, every request served alone).",
             unit="trials",
             labelnames=("lane",),
         )
