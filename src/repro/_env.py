@@ -1,11 +1,11 @@
 """The ``REPRO_*`` environment knobs.
 
 Every on/off knob reads through :func:`env_flag`, so they all accept the
-same two values and reject the rest: a typo such as ``REPRO_PSI=false``
-raises instead of silently turning the knob on.  The integer and
-enumerated knobs read through :func:`env_int` and :func:`env_choice`
-under the same rule: a value they cannot use raises
-:class:`ConfigError` naming the variable.
+same two values and reject the rest: a typo such as
+``REPRO_FAST_ACCESS=false`` raises instead of silently turning the knob
+on.  The integer knobs read through :func:`env_int` under the same
+rule: a value they cannot use raises :class:`ConfigError` naming the
+variable.
 
 Names follow the same rule: ``import repro`` calls
 :func:`check_env_names`, which rejects any ``REPRO_*`` variable not in
@@ -25,12 +25,8 @@ from repro.errors import ConfigError
 KNOWN_NAMES: Tuple[str, ...] = (
     "REPRO_FAST_ACCESS",
     "REPRO_FAST_ENGINE",
-    "REPRO_FAST_FLEET",
     "REPRO_JOBS",
-    "REPRO_PSI",
     "REPRO_SEED",
-    "REPRO_SPANS",
-    "REPRO_SPANS_SAMPLE",
     "REPRO_TRACE_CACHE",
     "REPRO_TRACE_CACHE_CAP_MB",
     "REPRO_TRIALS",
@@ -78,17 +74,3 @@ def env_int(name: str, default: int, minimum: Optional[int] = None) -> int:
         raise ConfigError(f"{name}={raw!r}: expected an integer >= {minimum}")
     return value
 
-
-def env_choice(name: str, default: str, choices: Tuple[str, ...]) -> str:
-    """The knob *name*: one of *choices* (surrounding whitespace
-    ignored), *default* when unset; any other value raises
-    :class:`ConfigError`."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = raw.strip()
-    if value not in choices:
-        raise ConfigError(
-            f"{name}={raw!r}: expected one of {', '.join(choices)}"
-        )
-    return value

@@ -21,6 +21,7 @@ from repro.fleet.report import build_registry, render_markdown
 from repro.fleet.runner import run_sweep
 from repro.fleet.sink import JsonlSink, load_rows
 from repro.policies import POLICY_FACTORIES
+from repro.spans import SpansConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,25 +84,22 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--psi",
         action="store_true",
-        default=None,
         help="enable PSI pressure accounting (adds a 'psi' section to "
-        "rows; default: REPRO_PSI env, off)",
+        "rows; default: off)",
     )
     run.add_argument(
         "--spans",
         action="store_true",
-        default=None,
         help="enable causal fault-span recording (adds a 'spans' "
-        "section to rows; default: REPRO_SPANS env, off)",
+        "section to rows; default: off)",
     )
     run.add_argument(
         "--spans-sample",
         type=int,
         default=None,
         metavar="N",
-        help="with --spans: retain the full record of every Nth fault "
-        "(aggregates always cover all faults; default: "
-        "REPRO_SPANS_SAMPLE, else 1)",
+        help="with --spans: retain the full record of every Nth fault, "
+        "N >= 1 (aggregates always cover all faults; default: 1)",
     )
     run.add_argument(
         "--lane-stats-out",
@@ -157,10 +155,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     seeds = [args.base_seed + i for i in range(args.seeds)]
     spans = args.spans
-    if spans and args.spans_sample is not None:
-        from repro.spans import SpansConfig
-
-        spans = SpansConfig(sample_every=max(1, args.spans_sample))
+    if args.spans_sample is not None:  # main() checked it comes with --spans
+        spans = SpansConfig(sample_every=args.spans_sample)
     lane_stats: dict = {}
     with JsonlSink(args.out, config.to_dict()) as sink:
         already = len(sink.completed)
@@ -214,7 +210,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.spans_sample is not None:
+        if not args.spans:
+            parser.error("--spans-sample needs --spans")
+        if args.spans_sample < 1:
+            parser.error("--spans-sample must be at least 1")
     try:
         if args.command == "run":
             return _cmd_run(args)

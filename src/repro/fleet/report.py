@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro._markdown import md_table
 from repro.histogram import Histogram
 from repro.metrics.registry import MetricsRegistry
 
@@ -148,7 +149,7 @@ def aggregate_spans(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     """policy -> merged :class:`~repro.spans.SpanTable` from row dumps.
 
     Rows carry a full ``spans`` table (``repro.spans/v1``) only when
-    the sweep ran with ``REPRO_SPANS``/``--spans``.  Merging in sorted
+    the sweep ran with ``spans=``/``--spans``.  Merging in sorted
     (policy, seed) order makes the result independent of append order,
     so serial / ``REPRO_JOBS`` / resumed sweeps aggregate identically.
     """
@@ -187,7 +188,7 @@ def _spans_section(
         )
         parts.append("")
         parts.append(
-            _md_table(
+            md_table(
                 ["segment", "time", "share", "faults", "mean/fault"],
                 segment_share_rows(table),
             )
@@ -198,7 +199,7 @@ def _spans_section(
             parts.append(f"#### slowest {len(span_rows)} spans")
             parts.append("")
             parts.append(
-                _md_table(
+                md_table(
                     [
                         "trial",
                         "thread",
@@ -243,16 +244,6 @@ def aggregate_steals(
 
 def _fmt_us(ns: float) -> str:
     return f"{ns / 1000.0:.1f}us"
-
-
-def _md_table(headers: List[str], rows: List[List[str]]) -> str:
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
 
 
 def _attribution_section(
@@ -311,7 +302,7 @@ def _attribution_section(
                 ]
             )
         parts.append(
-            _md_table(
+            md_table(
                 [
                     "tenant",
                     "viol time",
@@ -337,14 +328,15 @@ def render_markdown(
     """The full fleet report: policy comparison + worst tenants.
 
     When any row carries a ``psi`` section (the sweep ran with
-    ``REPRO_PSI``/``--psi``) an *SLO-violation attribution* section is
+    ``psi=``/``--psi``) an *SLO-violation attribution* section is
     appended; PSI-off sinks render byte-identically to pre-PSI reports.
-    Likewise a ``spans`` section (``REPRO_SPANS``/``--spans``) opts
+    Likewise a ``spans`` section (``spans=``/``--spans``) opts
     into a *Critical path* section built from the merged span tables.
     ``lane_stats`` (the accumulator :func:`repro.fleet.runner.run_sweep`
-    fills) opts into a *Serving lanes* section — opt-in because lane
-    trial counts legitimately differ between the scalar and fast lanes
-    while reports of the same sink must not.
+    fills) opts into a *Serving lanes* section — opt-in because its
+    trial counts legitimately differ between sweeps with the batch
+    shortcut on (fast) and off (scalar) while reports of the same sink
+    must not.
     """
     groups = aggregate(rows)
     config = header.get("config", {})
@@ -382,7 +374,7 @@ def render_markdown(
             ]
         )
     parts.append(
-        _md_table(
+        md_table(
             [
                 "policy",
                 "requests",
@@ -418,7 +410,7 @@ def render_markdown(
             for a in worst
         ]
         parts.append(
-            _md_table(
+            md_table(
                 [
                     "tenant",
                     "requests",
@@ -450,7 +442,7 @@ def render_markdown(
         residue = int(lane_stats.get("residue_requests", 0))
         share = residue / requests if requests else 0.0
         parts.append(
-            _md_table(
+            md_table(
                 [
                     "requests",
                     "residue (faulting)",

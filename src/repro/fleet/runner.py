@@ -37,15 +37,15 @@ WINDOW_PER_JOB = 4
 
 
 def _trial_job(
-    config: FleetConfig, policy: str, seed: int, psi: Any,
-    spans: Any = None,
+    config: FleetConfig, policy: str, seed: int, psi: Any, spans: Any
 ) -> Tuple[Dict[str, Any], Dict[str, int]]:
-    """One trial plus its serving-lane counter delta.
+    """One trial plus its serving-loop counter delta.
 
     ``LANE_STATS`` is process-global, so in a pool worker the only way
     to attribute counters to *this* trial is a before/after snapshot;
     the delta rides back with the row (rows themselves never carry lane
-    stats — they must stay byte-identical across lanes).
+    stats — they must stay byte-identical with the batch shortcut on
+    or off).
     """
     before = LANE_STATS.snapshot()
     row = run_fleet_trial(config, policy, seed, psi=psi, spans=spans)
@@ -83,8 +83,8 @@ def run_sweep(
     jobs: Optional[int] = None,
     max_trials: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    psi: Any = None,
-    spans: Any = None,
+    psi: Any = False,
+    spans: Any = False,
     lane_stats: Optional[Dict[str, int]] = None,
 ) -> int:
     """Run the missing trials of the grid; returns how many ran.
@@ -93,13 +93,12 @@ def run_sweep(
     interrupt anywhere loses at most the in-flight trials.
 
     ``psi`` and ``spans`` are forwarded to :func:`run_fleet_trial`
-    (``None`` lets each trial read ``REPRO_PSI`` / ``REPRO_SPANS``;
-    every sweep trial — worker-pool ones included — gets the same
-    setting, so serial and ``REPRO_JOBS`` sweeps of one cell produce
-    identical rows).  ``lane_stats``, when given a dict,
-    accumulates the serving-lane counter deltas (requests, residue,
-    batches, lane trial counts) of exactly the trials this invocation
-    ran — worker-process counters included.
+    (off by default; every sweep trial — worker-pool ones included —
+    gets the same setting, so serial and ``REPRO_JOBS`` sweeps of one
+    cell produce identical rows).  ``lane_stats``, when given a dict,
+    accumulates the serving-loop counter deltas (requests, residue,
+    batches, trial counts per mode) of exactly the trials this
+    invocation ran — worker-process counters included.
     """
     jobs = _jobs_from_env() if jobs is None else max(1, int(jobs))
     todo = pending_grid(sink, policies, seeds)

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro._markdown import md_table
 from repro.errors import ConfigError
 from repro.metrics.registry import FORMAT, Histogram, MetricsRegistry
 from repro.metrics.telemetry import (
@@ -191,16 +192,6 @@ def inventory_rows(registry: MetricsRegistry) -> List[List[str]]:
 # Markdown
 # ----------------------------------------------------------------------
 
-def _md_table(headers: List[str], rows: List[List[str]]) -> str:
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
-
-
 def render_markdown(dump: GridDump, title: str = "Metrics report") -> str:
     """Render a dump as a Markdown grid report."""
     parts = [f"# {title}", ""]
@@ -213,17 +204,17 @@ def render_markdown(dump: GridDump, title: str = "Metrics report") -> str:
         parts.append("")
     parts.append("## Cells")
     parts.append("")
-    parts.append(_md_table(CELL_HEADERS, cell_summary_rows(dump)))
+    parts.append(md_table(CELL_HEADERS, cell_summary_rows(dump)))
     parts.append("")
     cache_rows = cache_behavior_rows(dump.merged)
     if cache_rows:
         parts.append("## Dataset cache behavior")
         parts.append("")
-        parts.append(_md_table(CACHE_HEADERS, cache_rows))
+        parts.append(md_table(CACHE_HEADERS, cache_rows))
         parts.append("")
     parts.append("## Metric inventory (merged)")
     parts.append("")
-    parts.append(_md_table(INVENTORY_HEADERS, inventory_rows(dump.merged)))
+    parts.append(md_table(INVENTORY_HEADERS, inventory_rows(dump.merged)))
     parts.append("")
     return "\n".join(parts)
 

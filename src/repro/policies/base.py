@@ -82,13 +82,13 @@ class ReplacementPolicy(abc.ABC):
         loops over the pages; policies whose access bookkeeping is just
         the PTE bits override with plain numpy writes.
 
-        Two fast lanes feed this hook: the single-process resident-run
-        path (``REPRO_FAST_ACCESS``) and the fleet serving lane
-        (``REPRO_FAST_FLEET``), where it arrives via
-        :class:`~repro.memcg.policy.MemcgPolicy` with a tenant's
-        index- and item-page runs — *idx* may then repeat indices
-        within one call (many keys, one hot page), which is
-        indistinguishable from repeated scalar accesses for PTE-bit
+        Two fast paths feed this hook: the single-process resident-run
+        path (``REPRO_FAST_ACCESS``) and the fleet serving loop's batch
+        shortcut (``run_fleet_trial(fast_fleet=True)``, the default),
+        where it arrives via :class:`~repro.memcg.policy.MemcgPolicy`
+        with a tenant's index- and item-page runs — *idx* may then
+        repeat indices within one call (many keys, one hot page), which
+        is indistinguishable from repeated scalar accesses for PTE-bit
         bookkeeping and must stay so for any override.
         """
         for page in flat.pages[idx]:

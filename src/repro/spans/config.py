@@ -21,7 +21,7 @@ class SpansConfig:
     #: Head sampling: retain the full span record of every Nth fault
     #: (aggregates — segment sums, counts, top-K — always cover *all*
     #: faults, so sampling only bounds memory, never skews totals).
-    #: ``REPRO_SPANS_SAMPLE`` overrides this through the fleet CLI.
+    #: The fleet CLI sets it with ``--spans-sample``.
     sample_every: int = 1
     #: Hard cap on retained span records per trial.
     max_spans: int = 10_000

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro._markdown import md_table
 from repro.spans.recorder import SEGMENT_KINDS, SpanTable
 
 
@@ -30,16 +31,6 @@ def _fmt_ns(ns: float) -> str:
     if ns >= 1e3:
         return f"{ns / 1e3:.1f}us"
     return f"{int(ns)}ns"
-
-
-def _md_table(headers: List[str], rows: List[List[str]]) -> str:
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
 
 
 def _sorted_segments(seg_ns: Dict[str, int]) -> List[str]:
@@ -155,7 +146,7 @@ def render_markdown(
     parts.append("## Critical-path segment shares (all faults, exact)")
     parts.append("")
     parts.append(
-        _md_table(
+        md_table(
             ["segment", "time", "share", "faults", "mean/fault"],
             segment_share_rows(table),
         )
@@ -178,7 +169,7 @@ def render_markdown(
             )
             parts.append("")
             parts.append(
-                _md_table(
+                md_table(
                     ["segment", "ns", "share", "instigator"],
                     _decomposition_rows(record),
                 )
@@ -188,7 +179,7 @@ def render_markdown(
         parts.append(f"## Top {len(table.top_records)} slowest spans")
         parts.append("")
         parts.append(
-            _md_table(
+            md_table(
                 [
                     "trial",
                     "thread",
@@ -223,7 +214,7 @@ def render_markdown(
                 ]
             )
         parts.append(
-            _md_table(
+            md_table(
                 ["group", "faults", "fault time", "dominant", "share"],
                 group_rows,
             )
@@ -238,7 +229,7 @@ def render_markdown(
             for name in sorted(by_name, key=lambda n: (-by_name[n], n)):
                 inst_rows.append([kind, name, _fmt_ns(by_name[name])])
         parts.append(
-            _md_table(["wait segment", "instigator", "time"], inst_rows)
+            md_table(["wait segment", "instigator", "time"], inst_rows)
         )
         parts.append("")
     if table.daemon_ns:
@@ -251,7 +242,7 @@ def render_markdown(
                 daemon_rows.append(
                     [thread, kind, _fmt_ns(by_kind[kind])]
                 )
-        parts.append(_md_table(["thread", "segment", "time"], daemon_rows))
+        parts.append(md_table(["thread", "segment", "time"], daemon_rows))
         parts.append("")
     parts.append("## Segment key")
     parts.append("")
@@ -281,7 +272,7 @@ def compare_markdown(
     fa = table_a.n_faults or 1
     fb = table_b.n_faults or 1
     parts.append(
-        _md_table(
+        md_table(
             ["", label_a, label_b],
             [
                 [
@@ -340,7 +331,7 @@ def compare_markdown(
             ]
         )
     parts.append(
-        _md_table(
+        md_table(
             [
                 "segment",
                 f"{label_a} ns/fault",

@@ -1,7 +1,7 @@
 """The ``REPRO_*`` knobs fail loudly: the boolean ones take ``0`` or
-``1``, the integer and enumerated ones their documented values, and
-anything else raises a :class:`ConfigError` naming the variable.  So
-does a ``REPRO_*`` name that no code reads."""
+``1``, the valued ones their documented values, and anything else
+raises a :class:`ConfigError` naming the variable.  So does a
+``REPRO_*`` name that no code reads."""
 
 from __future__ import annotations
 
@@ -18,12 +18,6 @@ import pytest
 from repro._env import KNOWN_NAMES
 from repro.core.tracecache import DEFAULT_ROOT, cache_cap_bytes, cache_root
 from repro.errors import ConfigError
-from repro.fleet.trial import (
-    fast_fleet_enabled,
-    psi_enabled,
-    spans_enabled,
-    spans_sample_env,
-)
 from repro.sim.engine import Engine
 from tests.conftest import make_small_system
 
@@ -31,9 +25,6 @@ from tests.conftest import make_small_system
 KNOBS = [
     ("REPRO_FAST_ACCESS", True, lambda: make_small_system(start=False)[1].fast_access),
     ("REPRO_FAST_ENGINE", True, lambda: Engine()._fast),
-    ("REPRO_FAST_FLEET", True, fast_fleet_enabled),
-    ("REPRO_PSI", False, psi_enabled),
-    ("REPRO_SPANS", False, spans_enabled),
 ]
 
 
@@ -70,13 +61,6 @@ def _benchmarks_conftest():
 #: Each valued knob with its reader, its default, values that parse (raw
 #: -> read) and values that must raise.
 VALUED_KNOBS = [
-    (
-        "REPRO_SPANS_SAMPLE",
-        spans_sample_env,
-        1,
-        [("3", 3), (" 1\n", 1)],
-        ["abc", "0", "-2", "1.5", ""],
-    ),
     (
         "REPRO_TRACE_CACHE_CAP_MB",
         cache_cap_bytes,
@@ -131,6 +115,10 @@ RETIRED = [
     ("REPRO_FAST_SEEDS", "0"),
     ("REPRO_DATASET_MEMO", "legacy"),
     ("REPRO_DATASET_SHM", "1"),
+    ("REPRO_FAST_FLEET", "0"),
+    ("REPRO_PSI", "1"),
+    ("REPRO_SPANS", "1"),
+    ("REPRO_SPANS_SAMPLE", "3"),
 ]
 
 

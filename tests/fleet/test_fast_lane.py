@@ -1,9 +1,10 @@
-"""The vectorized fleet serving lane: fast == scalar, bit for bit.
+"""The fleet serving loop's batch shortcut: on == off, bit for bit.
 
-The contract under test (see ``_tenant_body_fast``): with
-``REPRO_FAST_FLEET`` on, every fleet trial must emit the *same command
-stream* as the scalar reference lane, so sink rows, reports, and lane
-telemetry are byte-identical across lanes — the toggle may only move
+The contract under test (see ``_tenant_body``): with the batch shortcut
+on (``run_fleet_trial(fast_fleet=True)``, the default), every fleet
+trial must emit the *same command stream* as with it off, when every
+request is served one at a time, so sink rows, reports, and lane
+telemetry are byte-identical in both modes — the shortcut may only move
 wall-clock time.
 """
 
@@ -14,27 +15,22 @@ import json
 import numpy as np
 import pytest
 
-from repro.fleet import FleetConfig, JsonlSink, TenantShape, run_fleet_trial
+from repro.fleet import FleetConfig, JsonlSink, run_fleet_trial
 from repro.fleet import trial as fleet_trial
 from repro.fleet.report import build_registry, render_markdown
 from repro.fleet.runner import WINDOW_PER_JOB, run_sweep
 from repro.fleet.sink import load_rows
-from repro.fleet.trial import KEY_BATCH, LANE_STATS, fast_fleet_enabled
+from repro.fleet.trial import KEY_BATCH, LANE_STATS
 from repro.trace import tracepoints
-
-
-def small_config(**overrides) -> FleetConfig:
-    base = dict(
-        n_tenants=3,
-        shapes=(TenantShape(n_items=40), TenantShape(n_items=80)),
-        capacity_ratio=0.5,
-        n_requests_total=1200,
-        arrival_rate_rps=60_000.0,
-        slo_ns=2_000_000,
-        n_cpus=2,
-    )
-    base.update(overrides)
-    return FleetConfig(**base)
+from tests.fleet.test_fleet_golden import (
+    DRAW_WINDOW_CELLS,
+    PROTECTION_RINGS,
+    SEED,
+    SERVING_BOUND,
+    golden,
+    row_digest,
+    small_config,
+)
 
 
 def _rows_identical(config: FleetConfig, policy: str, seed: int = 7) -> None:
@@ -62,57 +58,29 @@ def test_fast_lane_rows_byte_identical_with_limits(policy, swap):
 
 
 def test_fast_lane_serving_bound_regime_identical():
-    # Compressed arrivals + zero per-request compute: the whole trace is
-    # pending at t~0, driving the fast lane's long vector runs (the
-    # regime the fleet bench gates on) instead of the arrival-bound
-    # request-at-a-time paths above.
-    config = small_config(
-        shapes=(
-            TenantShape(
-                n_items=60,
-                read_fraction=1.0,
-                request_compute_ns=0,
-            ),
-        ),
-        capacity_ratio=0.95,
-        arrival_rate_rps=1e10,
-    )
-    _rows_identical(config, "mglru")
+    # The whole trace is pending at t~0, driving the shortcut's long
+    # vector runs (the regime the fleet bench gates on) instead of the
+    # arrival-bound request-at-a-time paths above.
+    _rows_identical(small_config(**SERVING_BOUND), "mglru")
 
 
 @pytest.mark.parametrize("window_batches", [1, 3])
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {},
-        {
-            "shapes": (
-                TenantShape(
-                    n_items=60, read_fraction=1.0, request_compute_ns=0
-                ),
-            ),
-            "capacity_ratio": 0.95,
-            "arrival_rate_rps": 1e10,
-        },
-    ],
-    ids=["arrival-bound", "serving-bound"],
-)
-def test_fast_lane_draw_windows_identical(monkeypatch, window_batches, overrides):
-    # Draw windows of one and of three batches: the vectorized lane's
-    # keys, ops and arrivals come from one numpy call per window, and
-    # must still match the scalar lane's per-batch draws.  Every
+@pytest.mark.parametrize("cell", list(DRAW_WINDOW_CELLS))
+def test_fast_lane_draw_windows_identical(monkeypatch, window_batches, cell):
+    # Draw windows of one and of three batches: keys, ops and arrivals
+    # come from one numpy call per window, so both modes must still
+    # reproduce the golden rows, drawn at the default window.  Every
     # tenant's request count is a non-multiple of KEY_BATCH, so windows
     # and batches both end ragged, and spans several windows.
     monkeypatch.setattr(fleet_trial, "DRAW_WINDOW", window_batches * KEY_BATCH)
-    config = small_config(n_requests_total=5_000, **overrides)
-    scalar = run_fleet_trial(config, "mglru", 7, fast_fleet=False)
-    counts = [t["requests"] for t in scalar["tenants"]]
-    assert all(count % KEY_BATCH for count in counts)
-    assert max(counts) > 3 * KEY_BATCH * window_batches
-    fast = run_fleet_trial(config, "mglru", 7, fast_fleet=True)
-    assert json.dumps(scalar, sort_keys=True) == json.dumps(
-        fast, sort_keys=True
-    )
+    config = small_config(**DRAW_WINDOW_CELLS[cell])
+    expected = golden()[f"draw-window/{cell}/mglru"]
+    for fast in (True, False):
+        row = run_fleet_trial(config, "mglru", SEED, fast_fleet=fast)
+        counts = [t["requests"] for t in row["tenants"]]
+        assert all(count % KEY_BATCH for count in counts)
+        assert max(counts) > 3 * KEY_BATCH * window_batches
+        assert row_digest(row) == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -137,15 +105,8 @@ def test_lazy_arrivals_match_one_shot_trace(seed):
 
 def test_fast_lane_protection_rings_identical():
     # Soft limits + low/min protection drive the memcg policy's
-    # multi-pass reclaim ordering; the lanes must agree there too.
-    config = small_config(
-        capacity_ratio=0.4,
-        limit_ratio=0.8,
-        soft_limit_ratio=0.5,
-        low_ratio=0.2,
-        min_ratio=0.1,
-    )
-    _rows_identical(config, "mglru")
+    # multi-pass reclaim ordering; the modes must agree there too.
+    _rows_identical(small_config(**PROTECTION_RINGS), "mglru")
 
 
 def test_fast_lane_report_and_registry_identical():
@@ -167,16 +128,7 @@ def test_fast_lane_report_and_registry_identical():
     )
 
 
-def test_fast_fleet_env_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_FAST_FLEET", raising=False)
-    assert fast_fleet_enabled()
-    monkeypatch.setenv("REPRO_FAST_FLEET", "0")
-    assert not fast_fleet_enabled()
-    monkeypatch.setenv("REPRO_FAST_FLEET", "1")
-    assert fast_fleet_enabled()
-
-
-def test_lane_stats_and_metrics_hooks(monkeypatch):
+def test_lane_stats_and_metrics_hooks():
     counts = {"requests": 0, "residue": 0, "lanes": []}
 
     def on_batch(n_requests, n_residue):
@@ -196,9 +148,9 @@ def test_lane_stats_and_metrics_hooks(monkeypatch):
     finally:
         tracepoints.detach("fleet_batch", on_batch)
         tracepoints.detach("fleet_lane", on_lane)
-    # Both lanes classify the same requests as residue (the counters
-    # are lane-independent by construction), and the env-independent
-    # LANE_STATS mirror matches the hook-fed totals.
+    # Both modes classify the same requests as residue (the counters
+    # are mode-independent by construction), and the LANE_STATS mirror
+    # matches the hook-fed totals.
     assert counts["requests"] == 2 * config.n_requests_total
     assert counts["lanes"] == [True, False]
     assert LANE_STATS.requests == counts["requests"]
@@ -207,10 +159,8 @@ def test_lane_stats_and_metrics_hooks(monkeypatch):
     assert LANE_STATS.scalar_trials == 1
     snap = LANE_STATS.snapshot()
     assert snap["batches"] > 0
-    # Default lane resolution follows the env knob.
-    monkeypatch.setenv("REPRO_FAST_FLEET", "0")
     LANE_STATS.reset()
-    run_fleet_trial(config, "clock", 7)
+    run_fleet_trial(config, "clock", 7, fast_fleet=False)
     assert LANE_STATS.scalar_trials == 1 and LANE_STATS.fast_trials == 0
 
 

@@ -1,5 +1,5 @@
 """Spans through the fleet: purity, per-tenant exactness, lane and
-pool identity, env knobs, and the report surface.
+pool identity, the CLI's sampling flag, and the report surface.
 
 The headline acceptance property: each tenant's span-table fault time
 equals the *sum of that tenant's measured fault latencies* — the exact
@@ -9,11 +9,11 @@ integer the tenant's fault histogram accumulated — to the nanosecond.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
 from repro.fleet import FleetConfig, JsonlSink, TenantShape, run_fleet_trial
+from repro.fleet.__main__ import main
 from repro.fleet.report import aggregate_spans, render_markdown
 from repro.fleet.runner import run_sweep
 from repro.fleet.sink import load_rows
@@ -118,16 +118,42 @@ def test_spans_accepts_a_config_instance():
     assert table.n_retained < table.n_faults
 
 
-def test_env_knobs_enable_spans_and_sampling(monkeypatch):
-    monkeypatch.setitem(os.environ, "REPRO_SPANS", "1")
-    monkeypatch.setitem(os.environ, "REPRO_SPANS_SAMPLE", "3")
-    row = run_fleet_trial(pressured_config(), "mglru", 7)
-    table = SpanTable.from_obj(row["spans"])
+# ----------------------------------------------------------------------
+# CLI: ``--spans-sample`` is honoured or refused
+# ----------------------------------------------------------------------
+
+def _cli_run(out, *flags):
+    return main([
+        "run", "--tenants", "3", "--items", "200", "--policies", "mglru",
+        "--seeds", "1", "--requests", "900", "--capacity-ratio", "0.4",
+        "--out", str(out), *flags,
+    ])
+
+
+def test_cli_spans_sample_sets_head_sampling(tmp_path):
+    out = tmp_path / "fleet.jsonl"
+    assert _cli_run(out, "--spans", "--spans-sample", "3") == 0
+    _, rows = load_rows(str(out))
+    table = SpanTable.from_obj(rows[0]["spans"])
     assert table.sample_every == 3
-    explicit = run_fleet_trial(
-        pressured_config(), "mglru", 7, spans=SpansConfig(sample_every=3)
-    )
-    assert _dumps(row) == _dumps(explicit)
+    assert table.n_retained < table.n_faults
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--spans-sample", "3"), "--spans-sample needs --spans"),
+        (("--spans", "--spans-sample", "0"), "--spans-sample must be at least 1"),
+    ],
+    ids=["without-spans", "below-one"],
+)
+def test_cli_refuses_spans_sample(tmp_path, capsys, flags, message):
+    out = tmp_path / "fleet.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        _cli_run(out, *flags)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------
