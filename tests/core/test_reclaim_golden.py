@@ -6,7 +6,8 @@ accessed-bit snapshots, MG-LRU's eviction blocks, FIFO, Random and
 OPT), both swap devices' batched writes, and many reverse-map and SSD
 jitter-pool refills that land in the middle of a triage block.  They
 are hashed with :func:`tests.core.test_engine_golden.trial_digest`:
-results, every trace event, the metrics registry and the span table.
+results, every trace event, the metrics registry (less its help text)
+and the span table.
 
 The fleet trials run the proportional global reclaimer over 40 tenants
 in two shapes at 25% capacity, where most reclaim shares are one page
