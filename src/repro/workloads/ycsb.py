@@ -146,11 +146,18 @@ class YCSBWorkload(Workload):
         compute = Compute(work)
         read_lat = self._latencies["read"]
         write_lat = self._latencies["write"]
+        # ``random()`` lies in [0, 1), so at read_fraction 1.0 (mix C)
+        # every op is a read and the op draw is skipped; the op stream
+        # feeds nothing else.
+        all_reads = self.read_fraction >= 1.0
         issued = 0
         while issued < n_mine:
             batch = min(p.batch_size, n_mine - issued)
             keys = self._zipf.sample(key_rng, batch)
-            is_read = (op_rng.random(batch) < self.read_fraction).tolist()
+            if all_reads:
+                is_read = [True] * batch
+            else:
+                is_read = (op_rng.random(batch) < self.read_fraction).tolist()
             index_pages = lookup_many(
                 self._index_start + self._store.index_pages(keys)
             )

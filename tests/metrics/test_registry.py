@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.metrics import (
@@ -18,6 +20,7 @@ from repro.metrics import (
 from repro.metrics.registry import N_BUCKETS
 
 TOP = BUCKET_BOUNDS[-1]
+I64_MAX = (1 << 63) - 1
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +84,62 @@ def test_observe_many_matches_scalar_binning():
     assert scalar.buckets == vector.buckets
     assert scalar.count == vector.count
     assert scalar.sum == vector.sum
+
+
+@st.composite
+def _elapsed_case(draw):
+    """A clock and sorted int64 starts, each ``now - start`` in int64.
+
+    Starts come from a small pool (so they tie) of bucket edges and
+    their neighbours, latencies at or below 1 (negative included),
+    latencies above 2^62, and anything else in range.
+    """
+    now = draw(st.one_of(st.integers(0, 1 << 40), st.integers(0, I64_MAX)))
+    lo = now - I64_MAX
+    start = st.one_of(
+        st.builds(
+            lambda i, d: now - (1 << i) + d,
+            st.integers(0, N_BUCKETS - 2),
+            st.integers(-1, 1),
+        ),
+        st.integers(-1000, 1).map(lambda lat: now - lat),
+        st.integers(TOP + 1, I64_MAX).map(lambda lat: now - lat),
+        st.integers(lo, I64_MAX),
+    ).filter(lambda a: lo <= a <= I64_MAX)
+    pool = draw(st.lists(start, min_size=1, max_size=8))
+    return now, sorted(draw(st.lists(st.sampled_from(pool), max_size=60)))
+
+
+_EDGE_NOW = (1 << 62) + 12_345
+
+
+@given(_elapsed_case())
+@example((5, []))
+@example((100, [3]))
+@example((0, [0, 1, 1, 7]))  # latencies 0, -1, -1, -7
+@example(
+    (
+        _EDGE_NOW,
+        sorted(
+            _EDGE_NOW - (1 << i) + d
+            for i in range(N_BUCKETS - 1)
+            for d in (-1, 0, 1)
+        ),
+    )
+)
+@example((I64_MAX, [0, 0, 5, 1 << 62]))  # latencies above 2^62
+@example((I64_MAX, [I64_MAX - 3] * 3 + [I64_MAX] * 2))  # sum wraps int64
+def test_observe_elapsed_matches_observe_many(case):
+    now, starts = case
+    arr = np.asarray(starts, dtype=np.int64)
+    elapsed = Histogram()
+    elapsed.observe_elapsed(now, arr)
+    many = Histogram()
+    many.observe_many(now - arr)
+    assert elapsed.buckets == many.buckets
+    assert elapsed.count == many.count == len(starts)
+    assert elapsed.sum == many.sum == sum(now - a for a in starts)
+    assert isinstance(elapsed.sum, int)
 
 
 def test_observe_many_empty_is_noop():
