@@ -21,6 +21,7 @@ from repro.fleet.report import build_registry, render_markdown
 from repro.fleet.runner import WINDOW_PER_JOB, run_sweep
 from repro.fleet.sink import load_rows
 from repro.fleet.trial import KEY_BATCH, LANE_STATS
+from repro.histogram import Histogram
 from repro.trace import tracepoints
 from tests.fleet.test_fleet_golden import (
     DRAW_WINDOW_CELLS,
@@ -62,6 +63,28 @@ def test_fast_lane_serving_bound_regime_identical():
     # vector runs (the regime the fleet bench gates on) instead of the
     # arrival-bound request-at-a-time paths above.
     _rows_identical(small_config(**SERVING_BOUND), "mglru")
+
+
+def test_slo_deadline_arrival_is_no_violation(monkeypatch):
+    # A request whose latency is exactly ``slo_ns`` meets its SLO.  The
+    # shortcut counts a burst's violators by searching its sorted
+    # arrivals, so pick the SLO that puts one chunk arrival exactly on
+    # a flush's deadline; the shortcut-off loop judges it per request.
+    flushes = []
+    observe = Histogram.observe_elapsed
+
+    def capture(self, now, starts):
+        flushes.append((now, np.array(starts)))
+        observe(self, now, starts)
+
+    cell = DRAW_WINDOW_CELLS["serving-bound"]
+    monkeypatch.setattr(Histogram, "observe_elapsed", capture)
+    run_fleet_trial(small_config(**cell), "mglru", SEED)
+    monkeypatch.undo()
+    now, arr = max(flushes, key=lambda flush: len(np.unique(flush[1])))
+    slo_ns = now - int(np.unique(arr)[1])
+    assert slo_ns > 0
+    _rows_identical(small_config(slo_ns=slo_ns, **cell), "mglru")
 
 
 @pytest.mark.parametrize("window_batches", [1, 3])
