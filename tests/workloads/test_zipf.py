@@ -46,6 +46,20 @@ class TestZipf:
         counts = np.bincount(out, minlength=100)
         assert counts[99] == counts.max()  # rank 0 mapped to item 99
 
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_rank_maps_compose_the_permutation(self, permuted):
+        # A table composed once by rank serves every draw with one
+        # gather: the fleet's rank -> PTE-index maps rely on it.
+        n = 500
+        perm = np.random.default_rng(5).permutation(n) if permuted else None
+        sampler = ZipfSampler(n, theta=0.99, permutation=perm)
+        table = np.random.default_rng(6).integers(0, 1 << 40, size=n)
+        by_rank = table[sampler.item_of_rank]
+        np.testing.assert_array_equal(
+            by_rank[sampler.sample_ranks(np.random.default_rng(9), 20_000)],
+            table[sampler.sample(np.random.default_rng(9), 20_000)],
+        )
+
     def test_bad_args_rejected(self):
         with pytest.raises(ConfigError):
             ZipfSampler(0)
