@@ -111,102 +111,105 @@ def run_trial(
         engine, rng, system_config, capacity,
         make_policy(system_config.policy),
     )
-    session: Optional[TraceSession] = None
-    if trace is not None and trace.enabled:
-        session = TraceSession(trace, system)
-    mx_session: Optional[MetricsSession] = None
-    if metrics is not None and metrics.enabled:
-        mx_session = MetricsSession(
-            metrics, system, cache_baseline=cache_baseline
-        )
-    recorder: Optional[SpanRecorder] = None
-    if spans is not None:
-        recorder = SpanRecorder(engine, spans)
     try:
-        if session is not None:
-            session.start()
-        if mx_session is not None:
-            mx_session.start()
-        if recorder is not None:
-            recorder.install(system)
-            if spans.profile_interval_ns > 0:
-                engine.spawn(
-                    recorder.run_profiler(), name="spans-profiler",
-                    daemon=True,
-                )
-        workload.setup(system)
-        system.start()
-        workload.spawn(system)
-        runtime_ns = engine.run()
-    finally:
-        # Probes/recorders are process-global; detach even on error
-        # paths so a failed trial cannot leak them into the next one.
-        if session is not None:
-            session.detach()
-        if mx_session is not None:
-            mx_session.detach()
-        if recorder is not None:
-            recorder.detach()
+        session: Optional[TraceSession] = None
+        if trace is not None and trace.enabled:
+            session = TraceSession(trace, system)
+        mx_session: Optional[MetricsSession] = None
+        if metrics is not None and metrics.enabled:
+            mx_session = MetricsSession(
+                metrics, system, cache_baseline=cache_baseline
+            )
+        recorder: Optional[SpanRecorder] = None
+        if spans is not None:
+            recorder = SpanRecorder(engine, spans)
+        try:
+            if session is not None:
+                session.start()
+            if mx_session is not None:
+                mx_session.start()
+            if recorder is not None:
+                recorder.install(system)
+                if spans.profile_interval_ns > 0:
+                    engine.spawn(
+                        recorder.run_profiler(), name="spans-profiler",
+                        daemon=True,
+                    )
+            workload.setup(system)
+            system.start()
+            workload.spawn(system)
+            runtime_ns = engine.run()
+        finally:
+            # Probes/recorders are process-global; detach even on error
+            # paths so a failed trial cannot leak them into the next one.
+            if session is not None:
+                session.detach()
+            if mx_session is not None:
+                mx_session.detach()
+            if recorder is not None:
+                recorder.detach()
 
-    stats = system.stats
-    stats.rmap_walks = system.rmap.walk_count
-    trial_meta = {
-        "workload": workload_name,
-        "policy": system_config.policy,
-        "swap": system_config.swap,
-        "capacity_ratio": system_config.capacity_ratio,
-        "seed": seed,
-    }
-    capture = None
-    if session is not None:
-        # Finalized after the post-run counter fixups above, so the last
-        # vmstat row equals the trial's aggregate counters.
-        capture = session.finalize(
-            runtime_ns,
-            meta={**trial_meta, "costs": asdict(system_config.costs)},
+        stats = system.stats
+        stats.rmap_walks = system.rmap.walk_count
+        trial_meta = {
+            "workload": workload_name,
+            "policy": system_config.policy,
+            "swap": system_config.swap,
+            "capacity_ratio": system_config.capacity_ratio,
+            "seed": seed,
+        }
+        capture = None
+        if session is not None:
+            # Finalized after the post-run counter fixups above, so the last
+            # vmstat row equals the trial's aggregate counters.
+            capture = session.finalize(
+                runtime_ns,
+                meta={**trial_meta, "costs": asdict(system_config.costs)},
+            )
+        registry = None
+        if mx_session is not None:
+            # Same ordering contract: finalize imports the fixed-up counters.
+            registry = mx_session.finalize(runtime_ns, meta=trial_meta)
+            if capture is not None:
+                # Surface ring-buffer overflow where dashboards look: a
+                # nonzero value means the event CSV/Chrome trace is missing
+                # the oldest events and needs --capacity or --events.
+                registry.counter(
+                    "repro_trace_dropped_events_total",
+                    help="Trace events lost to ring-buffer overflow (oldest "
+                    "dropped first); nonzero means the capture is "
+                    "incomplete — raise ringbuf_capacity or select "
+                    "fewer tracepoints.",
+                    unit="events",
+                ).inc(capture.dropped_events)
+        span_table = None
+        if recorder is not None:
+            span_table = recorder.finalize(runtime_ns)
+        wl_result = workload.result()
+        counters = stats.snapshot()
+        counters["swap_reads"] = system.swap_device.stats.reads
+        counters["swap_writes"] = system.swap_device.stats.writes
+        counters["cpu_utilization"] = system.cpu.utilization()
+        return TrialResult(
+            workload=workload_name,
+            policy=system_config.policy,
+            swap=system_config.swap,
+            capacity_ratio=system_config.capacity_ratio,
+            seed=seed,
+            runtime_ns=runtime_ns,
+            major_faults=stats.major_faults,
+            minor_faults=stats.minor_faults,
+            counters=counters,
+            metrics=wl_result.metrics,
+            latencies_ns=wl_result.latencies_ns,
+            footprint_pages=footprint,
+            capacity_frames=capacity,
+            trace=capture,
+            metrics_registry=registry,
+            spans=span_table,
         )
-    registry = None
-    if mx_session is not None:
-        # Same ordering contract: finalize imports the fixed-up counters.
-        registry = mx_session.finalize(runtime_ns, meta=trial_meta)
-        if capture is not None:
-            # Surface ring-buffer overflow where dashboards look: a
-            # nonzero value means the event CSV/Chrome trace is missing
-            # the oldest events and needs --capacity or --events.
-            registry.counter(
-                "repro_trace_dropped_events_total",
-                help="Trace events lost to ring-buffer overflow (oldest "
-                "dropped first); nonzero means the capture is "
-                "incomplete — raise ringbuf_capacity or select "
-                "fewer tracepoints.",
-                unit="events",
-            ).inc(capture.dropped_events)
-    span_table = None
-    if recorder is not None:
-        span_table = recorder.finalize(runtime_ns)
-    wl_result = workload.result()
-    counters = stats.snapshot()
-    counters["swap_reads"] = system.swap_device.stats.reads
-    counters["swap_writes"] = system.swap_device.stats.writes
-    counters["cpu_utilization"] = system.cpu.utilization()
-    return TrialResult(
-        workload=workload_name,
-        policy=system_config.policy,
-        swap=system_config.swap,
-        capacity_ratio=system_config.capacity_ratio,
-        seed=seed,
-        runtime_ns=runtime_ns,
-        major_faults=stats.major_faults,
-        minor_faults=stats.minor_faults,
-        counters=counters,
-        metrics=wl_result.metrics,
-        latencies_ns=wl_result.latencies_ns,
-        footprint_pages=footprint,
-        capacity_frames=capacity,
-        trace=capture,
-        metrics_registry=registry,
-        spans=span_table,
-    )
+    finally:
+        system.release()
 
 
 def run_cell_trials(

@@ -852,209 +852,212 @@ def run_fleet_trial(
     )
     system = build_system(engine, rng, sys_config, capacity, root)
 
-    # Tenant layouts: region-aligned VMA pairs tagged with their memcg.
-    starts: List[Any] = []
-    for i, cg in enumerate(cgroups):
-        store = shape_data[config.shape_index(i)]["store"]
-        index = system.address_space.map_area(
-            f"t{i}-kv-index",
-            store.n_index_pages,
-            PageKind.ANON,
-            entropy=0.45,
-            memcg=cg,
-        )
-        items = system.address_space.map_area(
-            f"t{i}-kv-items",
-            store.n_item_pages,
-            PageKind.ANON,
-            entropy=0.65,
-            memcg=cg,
-        )
-        starts.append((index.start_vpn, items.start_vpn))
-        # Multi-tenant MG-LRU walkers age only their own regions; the
-        # solo case keeps the global walk (bit-identity with run_trial).
-        inner = cg.policy
-        if n > 1 and hasattr(inner, "regions_provider"):
-            inner.regions_provider = (
-                lambda _cg=cg: _cg.regions(system.address_space)
-            )
-
-    # Traffic: Zipf tenant popularity -> exact request shares -> per-
-    # tenant Poisson arrivals at each tenant's share of the fleet rate.
-    pop_rank = rng.stream("fleet", "popularity").permutation(n)
-    weights = [
-        1.0 / float(pop_rank[i] + 1) ** config.tenant_zipf_theta
-        for i in range(n)
-    ]
-    shares = apportion_requests(config.n_requests_total, weights)
-    states = [_TenantState() for _ in range(n)]
-    if psi_config is not None:
-        for state in states:
-            state.viol_intervals = []
-    w_sum = sum(weights)
-    if fast_fleet:
-        LANE_STATS.fast_trials += 1
-    else:
-        LANE_STATS.scalar_trials += 1
-    if _tp.fleet_lane is not None:
-        _tp.fleet_lane(bool(fast_fleet))
-    for i in range(n):
-        if shares[i] == 0:
-            continue
-        rate_rps = config.arrival_rate_rps * weights[i] / w_sum
-        arrivals = _Arrivals(
-            rng.stream("fleet", "arrivals", i), 1e9 / rate_rps
-        )
-        shape = config.shape_of(i)
-        data = shape_data[config.shape_index(i)]
-        system.spawn_app_thread(
-            _tenant_body(
-                system,
-                i,
-                shape,
-                data["store"],
-                data["sampler"],
-                arrivals,
-                shares[i],
-                starts[i][0],
-                starts[i][1],
-                config.slo_ns,
-                states[i],
-                cgroups[i],
-                fast_fleet,
-            ),
-            f"tenant-{i}",
-        )
-
-    # PSI and spans attach to the observer bus *before* the engine
-    # runs: pure observers (probes plus a Sleep-only sampler or
-    # profiler daemon), so PSI-on and spans-on rows stay byte-identical
-    # in every pre-existing field.
-    tracker: Optional[PsiTracker] = None
-    if psi_config is not None:
-        tracker = PsiTracker(engine, psi_config)
-        for cg in cgroups:
-            tracker.add_group(cg, record_intervals=True)
-        engine.spawn(
-            tracker.run_sampler(), name="psi-sampler", daemon=True
-        )
-    recorder: Optional[SpanRecorder] = None
-    if spans_config is not None:
-        recorder = SpanRecorder(engine, spans_config)
-        if spans_config.profile_interval_ns > 0:
-            engine.spawn(
-                recorder.run_profiler(), name="spans-profiler",
-                daemon=True,
-            )
     try:
-        if tracker is not None:
-            tracker.install(system)
-        if recorder is not None:
-            recorder.install(system)
-        system.start()
-        runtime_ns = engine.run()
-    finally:
-        # Probes are process-global; detach even on error paths so a
-        # failed trial cannot leak them into the next one.
-        if tracker is not None:
-            tracker.detach()
-        if recorder is not None:
-            recorder.detach()
-    audit_usage(system)  # ledger invariant: sum(usage) == frames used
-    if tracker is not None:
-        tracker.finalize(runtime_ns)
-    span_table = None
-    if recorder is not None:
-        span_table = recorder.finalize(runtime_ns)
+        # Tenant layouts: region-aligned VMA pairs tagged with their memcg.
+        starts: List[Any] = []
+        for i, cg in enumerate(cgroups):
+            store = shape_data[config.shape_index(i)]["store"]
+            index = system.address_space.map_area(
+                f"t{i}-kv-index",
+                store.n_index_pages,
+                PageKind.ANON,
+                entropy=0.45,
+                memcg=cg,
+            )
+            items = system.address_space.map_area(
+                f"t{i}-kv-items",
+                store.n_item_pages,
+                PageKind.ANON,
+                entropy=0.65,
+                memcg=cg,
+            )
+            starts.append((index.start_vpn, items.start_vpn))
+            # Multi-tenant MG-LRU walkers age only their own regions; the
+            # solo case keeps the global walk (bit-identity with run_trial).
+            inner = cg.policy
+            if n > 1 and hasattr(inner, "regions_provider"):
+                inner.regions_provider = (
+                    lambda _cg=cg: _cg.regions(system.address_space)
+                )
 
-    stats = system.stats
-    tenants = []
-    for i, cg in enumerate(cgroups):
-        state = states[i]
-        entry = {
-            "tenant": i,
-            "shape": config.shape_index(i),
-            "requests": state.requests_done,
-            "footprint_pages": footprints[i],
-            "usage_pages": cg.usage_pages,
-            "limit_pages": cg.limit_pages,
-            "fault_hist": state.fault_hist._to_obj(),
-            "request_hist": state.request_hist._to_obj(),
-            "slo_violations": state.slo_violations,
-            "major_faults": state.major_faults,
-            "minor_faults": state.minor_faults,
-            "memcg": cg.stats.snapshot(),
+        # Traffic: Zipf tenant popularity -> exact request shares -> per-
+        # tenant Poisson arrivals at each tenant's share of the fleet rate.
+        pop_rank = rng.stream("fleet", "popularity").permutation(n)
+        weights = [
+            1.0 / float(pop_rank[i] + 1) ** config.tenant_zipf_theta
+            for i in range(n)
+        ]
+        shares = apportion_requests(config.n_requests_total, weights)
+        states = [_TenantState() for _ in range(n)]
+        if psi_config is not None:
+            for state in states:
+                state.viol_intervals = []
+        w_sum = sum(weights)
+        if fast_fleet:
+            LANE_STATS.fast_trials += 1
+        else:
+            LANE_STATS.scalar_trials += 1
+        if _tp.fleet_lane is not None:
+            _tp.fleet_lane(bool(fast_fleet))
+        for i in range(n):
+            if shares[i] == 0:
+                continue
+            rate_rps = config.arrival_rate_rps * weights[i] / w_sum
+            arrivals = _Arrivals(
+                rng.stream("fleet", "arrivals", i), 1e9 / rate_rps
+            )
+            shape = config.shape_of(i)
+            data = shape_data[config.shape_index(i)]
+            system.spawn_app_thread(
+                _tenant_body(
+                    system,
+                    i,
+                    shape,
+                    data["store"],
+                    data["sampler"],
+                    arrivals,
+                    shares[i],
+                    starts[i][0],
+                    starts[i][1],
+                    config.slo_ns,
+                    states[i],
+                    cgroups[i],
+                    fast_fleet,
+                ),
+                f"tenant-{i}",
+            )
+
+        # PSI and spans attach to the observer bus *before* the engine
+        # runs: pure observers (probes plus a Sleep-only sampler or
+        # profiler daemon), so PSI-on and spans-on rows stay byte-identical
+        # in every pre-existing field.
+        tracker: Optional[PsiTracker] = None
+        if psi_config is not None:
+            tracker = PsiTracker(engine, psi_config)
+            for cg in cgroups:
+                tracker.add_group(cg, record_intervals=True)
+            engine.spawn(
+                tracker.run_sampler(), name="psi-sampler", daemon=True
+            )
+        recorder: Optional[SpanRecorder] = None
+        if spans_config is not None:
+            recorder = SpanRecorder(engine, spans_config)
+            if spans_config.profile_interval_ns > 0:
+                engine.spawn(
+                    recorder.run_profiler(), name="spans-profiler",
+                    daemon=True,
+                )
+        try:
+            if tracker is not None:
+                tracker.install(system)
+            if recorder is not None:
+                recorder.install(system)
+            system.start()
+            runtime_ns = engine.run()
+        finally:
+            # Probes are process-global; detach even on error paths so a
+            # failed trial cannot leak them into the next one.
+            if tracker is not None:
+                tracker.detach()
+            if recorder is not None:
+                recorder.detach()
+        audit_usage(system)  # ledger invariant: sum(usage) == frames used
+        if tracker is not None:
+            tracker.finalize(runtime_ns)
+        span_table = None
+        if recorder is not None:
+            span_table = recorder.finalize(runtime_ns)
+
+        stats = system.stats
+        tenants = []
+        for i, cg in enumerate(cgroups):
+            state = states[i]
+            entry = {
+                "tenant": i,
+                "shape": config.shape_index(i),
+                "requests": state.requests_done,
+                "footprint_pages": footprints[i],
+                "usage_pages": cg.usage_pages,
+                "limit_pages": cg.limit_pages,
+                "fault_hist": state.fault_hist._to_obj(),
+                "request_hist": state.request_hist._to_obj(),
+                "slo_violations": state.slo_violations,
+                "major_faults": state.major_faults,
+                "minor_faults": state.minor_faults,
+                "memcg": cg.stats.snapshot(),
+            }
+            if span_table is not None:
+                # The tenant's exact critical-path decomposition: segment
+                # sums over *all* of its faults.  ``total_ns`` equals the
+                # tenant's measured fault-latency sum exactly (the root
+                # span brackets the same ``handle_fault`` call the serving
+                # loop times) — the identity the spans tests pin.
+                entry["spans"] = {
+                    "faults": span_table.group_faults.get(cg.name, 0),
+                    "total_ns": span_table.group_total_ns.get(cg.name, 0),
+                    "seg_ns": dict(
+                        sorted(span_table.group_ns.get(cg.name, {}).items())
+                    ),
+                }
+            if tracker is not None:
+                group = tracker.group_for(cg)
+                assert group is not None
+                # Both interval lists are sorted and disjoint by
+                # construction, so the overlap is exact.  Tenant groups
+                # track a single thread (full == some), so the some-side
+                # stall intervals *are* the full-stall windows.
+                viol_ivs = state.viol_intervals
+                viol_ns = sum(e - s for s, e in viol_ivs)
+                entry["psi"] = {
+                    "pressure": group.snapshot(),
+                    "stall_ns": int(group.some_total_ns),
+                    "viol_ns": int(viol_ns),
+                    "viol_stall_ns": int(
+                        interval_overlap_ns(viol_ivs, group.stall_intervals)
+                    ),
+                }
+            tenants.append(entry)
+        row: Dict[str, Any] = {
+            "kind": "trial",
+            "format": ROW_FORMAT,
+            "policy": policy_name,
+            "seed": seed,
+            "runtime_ns": int(runtime_ns),
+            "slo_ns": config.slo_ns,
+            "capacity_frames": capacity,
+            "total_footprint_pages": total_footprint,
+            "totals": {
+                "major_faults": int(stats.major_faults),
+                "minor_faults": int(stats.minor_faults),
+                "evictions": int(stats.evictions),
+                "swap_reads": int(system.swap_device.stats.reads),
+                "swap_writes": int(system.swap_device.stats.writes),
+            },
+            "tenants": tenants,
         }
         if span_table is not None:
-            # The tenant's exact critical-path decomposition: segment
-            # sums over *all* of its faults.  ``total_ns`` equals the
-            # tenant's measured fault-latency sum exactly (the root
-            # span brackets the same ``handle_fault`` call the serving
-            # loop times) — the identity the spans tests pin.
-            entry["spans"] = {
-                "faults": span_table.group_faults.get(cg.name, 0),
-                "total_ns": span_table.group_total_ns.get(cg.name, 0),
-                "seg_ns": dict(
-                    sorted(span_table.group_ns.get(cg.name, {}).items())
-                ),
-            }
+            # Full table dump: mergeable across rows/policies with
+            # ``SpanTable.from_obj(...).merge(...)``; JSON-safe for the
+            # sink.  Retained-record volume is bounded by ``max_spans``
+            # and the ``sample_every`` head sampling.
+            row["spans"] = span_table.to_obj()
         if tracker is not None:
-            group = tracker.group_for(cg)
-            assert group is not None
-            # Both interval lists are sorted and disjoint by
-            # construction, so the overlap is exact.  Tenant groups
-            # track a single thread (full == some), so the some-side
-            # stall intervals *are* the full-stall windows.
-            viol_ivs = state.viol_intervals
-            viol_ns = sum(e - s for s, e in viol_ivs)
-            entry["psi"] = {
-                "pressure": group.snapshot(),
-                "stall_ns": int(group.some_total_ns),
-                "viol_ns": int(viol_ns),
-                "viol_stall_ns": int(
-                    interval_overlap_ns(viol_ivs, group.stall_intervals)
-                ),
+            row["psi"] = {
+                "system": tracker.system.snapshot(),
+                "samples": [
+                    [int(t), int(s), int(f), round(a10, 6), round(b10, 6)]
+                    for t, s, f, a10, b10 in tracker.samples
+                ],
+                # Steal matrix as sorted (requester, victim, pages) triples:
+                # order-independent to aggregate, deterministic to render.
+                "steals": [
+                    [r, v, pages]
+                    for (r, v), pages in sorted(tracker.steals.items())
+                ],
             }
-        tenants.append(entry)
-    row: Dict[str, Any] = {
-        "kind": "trial",
-        "format": ROW_FORMAT,
-        "policy": policy_name,
-        "seed": seed,
-        "runtime_ns": int(runtime_ns),
-        "slo_ns": config.slo_ns,
-        "capacity_frames": capacity,
-        "total_footprint_pages": total_footprint,
-        "totals": {
-            "major_faults": int(stats.major_faults),
-            "minor_faults": int(stats.minor_faults),
-            "evictions": int(stats.evictions),
-            "swap_reads": int(system.swap_device.stats.reads),
-            "swap_writes": int(system.swap_device.stats.writes),
-        },
-        "tenants": tenants,
-    }
-    if span_table is not None:
-        # Full table dump: mergeable across rows/policies with
-        # ``SpanTable.from_obj(...).merge(...)``; JSON-safe for the
-        # sink.  Retained-record volume is bounded by ``max_spans``
-        # and the ``sample_every`` head sampling.
-        row["spans"] = span_table.to_obj()
-    if tracker is not None:
-        row["psi"] = {
-            "system": tracker.system.snapshot(),
-            "samples": [
-                [int(t), int(s), int(f), round(a10, 6), round(b10, 6)]
-                for t, s, f, a10, b10 in tracker.samples
-            ],
-            # Steal matrix as sorted (requester, victim, pages) triples:
-            # order-independent to aggregate, deterministic to render.
-            "steals": [
-                [r, v, pages]
-                for (r, v), pages in sorted(tracker.steals.items())
-            ],
-        }
-    return row
+        return row
+    finally:
+        system.release()
 
 
 # ----------------------------------------------------------------------
@@ -1084,31 +1087,34 @@ def run_memcg_trial(
     cg = MemCgroup(name="solo", policy=inner)
     root = MemcgPolicy([cg])
     system = build_system(engine, rng, system_config, capacity, root)
-    workload.setup(system)
-    cg.adopt(system.address_space)
-    system.start()
-    workload.spawn(system)
-    runtime_ns = engine.run()
-    audit_usage(system)
-    stats = system.stats
-    stats.rmap_walks = system.rmap.walk_count
-    wl_result = workload.result()
-    counters = stats.snapshot()
-    counters["swap_reads"] = system.swap_device.stats.reads
-    counters["swap_writes"] = system.swap_device.stats.writes
-    counters["cpu_utilization"] = system.cpu.utilization()
-    return TrialResult(
-        workload=workload_name,
-        policy=system_config.policy,
-        swap=system_config.swap,
-        capacity_ratio=system_config.capacity_ratio,
-        seed=seed,
-        runtime_ns=runtime_ns,
-        major_faults=stats.major_faults,
-        minor_faults=stats.minor_faults,
-        counters=counters,
-        metrics=wl_result.metrics,
-        latencies_ns=wl_result.latencies_ns,
-        footprint_pages=footprint,
-        capacity_frames=capacity,
-    )
+    try:
+        workload.setup(system)
+        cg.adopt(system.address_space)
+        system.start()
+        workload.spawn(system)
+        runtime_ns = engine.run()
+        audit_usage(system)
+        stats = system.stats
+        stats.rmap_walks = system.rmap.walk_count
+        wl_result = workload.result()
+        counters = stats.snapshot()
+        counters["swap_reads"] = system.swap_device.stats.reads
+        counters["swap_writes"] = system.swap_device.stats.writes
+        counters["cpu_utilization"] = system.cpu.utilization()
+        return TrialResult(
+            workload=workload_name,
+            policy=system_config.policy,
+            swap=system_config.swap,
+            capacity_ratio=system_config.capacity_ratio,
+            seed=seed,
+            runtime_ns=runtime_ns,
+            major_faults=stats.major_faults,
+            minor_faults=stats.minor_faults,
+            counters=counters,
+            metrics=wl_result.metrics,
+            latencies_ns=wl_result.latencies_ns,
+            footprint_pages=footprint,
+            capacity_frames=capacity,
+        )
+    finally:
+        system.release()

@@ -258,6 +258,25 @@ class PageTable:
             _tp.mm_pte_flat_rebuild(n, int(run_base.shape[0]))
         return flat
 
+    def release(self) -> None:
+        """Empty the flat view's ``pages`` array at teardown.
+
+        A numpy object array exposes no referents to the cyclic GC, so
+        each page's ``_flat`` back-pointer closes a cycle the collector
+        cannot see: every page, and all a page reaches (its memcg, the
+        policy, the system), would outlive the trial.  The array is
+        emptied in place because a thread stopped mid-run by an error
+        may still hold it in a local.  The PTE bit arrays stay, so a
+        later :meth:`flat_view` rebuilds the view.
+        """
+        flat = self._flat
+        if flat is not None:
+            flat.pages.fill(None)
+            self._flat = None
+        # Earlier builds are reachable only through the region caches.
+        for region in self._regions.values():
+            region._flat_cache = None
+
     # ------------------------------------------------------------------
     # Lookup and iteration
     # ------------------------------------------------------------------

@@ -135,6 +135,13 @@ class MemorySystem:
         kswapd.cpu = self.cpu
         self.policy.spawn_daemons()
 
+    def release(self) -> None:
+        """Break the page-table cycle the cyclic GC cannot see (see
+        :meth:`~repro.mm.page_table.PageTable.release`); trial entry
+        points call it once their results are read, on error paths
+        too, so a finished simulator is freed."""
+        self.address_space.page_table.release()
+
     def spawn_daemon(self, generator: Iterator[Any], name: str):
         """Spawn a policy daemon thread bound to this system's CPU."""
         thread = self.engine.spawn(generator, name=name, daemon=True)
