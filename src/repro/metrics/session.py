@@ -248,7 +248,10 @@ class MetricsSession:
         events = reg.counter(
             "repro_engine_events_total",
             help="Events dispatched by the simulation engine, by queue "
-            "(zero-delay immediate deque vs time-ordered heap).",
+            "(zero-delay immediate deque vs time-ordered heap).  The "
+            "CPU timer slot's fires and CPU run-aheads count as heap "
+            "dispatches; a re-armed slot timer leaves no superseded "
+            "event to dispatch.",
             unit="events",
             labelnames=("queue",),
         )

@@ -22,6 +22,10 @@ from repro.sim.process import SimThread
 from repro.trace import tracepoints as _tp
 
 
+#: Timer-slot instant meaning "disarmed": later than any ``run`` bound.
+_NEVER = 1 << 63
+
+
 def _call0(fn: Callable[[], None]) -> None:
     """Adapter: run a no-argument callback through the 1-arg queue slot."""
     fn()
@@ -52,6 +56,16 @@ class Engine:
     grants, waker kicks and thread spawns skip a heappush+heappop
     round-trip.
 
+    Timer slot: one re-armable timer, ``(_slot_when, _slot_seq)``,
+    held outside the heap.  The first CPU built on a fast engine owns
+    it (:meth:`_claim_slot`) and arms, re-arms and consumes its
+    completion timer there (see :mod:`repro.sim.cpu`): a re-arm
+    overwrites the slot, where a heap timer would leave its superseded
+    entry to be popped and ignored.  Each arm takes the sequence
+    number ``schedule1`` would have given it, and the run loop fires
+    whichever of the deque head, the heap head and the slot comes
+    first by ``(instant, seq)``, so the order is the heap-only one.
+
     CPU run-ahead: a thread that submits a Compute to an idle CPU while
     nothing else is due before the job would end completes it inline
     (see :meth:`repro.sim.cpu.CPU.run_ahead`): the clock jumps to the
@@ -65,7 +79,8 @@ class Engine:
     this instant that have not resumed yet).
 
     ``REPRO_FAST_ENGINE=0`` (or ``fast=False``) forces the heap-only
-    reference behaviour for A/B verification: no deque, no run-ahead.
+    reference behaviour for A/B verification: no deque, no timer slot,
+    no run-ahead.
     """
 
     def __init__(self, fast: Optional[bool] = None) -> None:
@@ -97,6 +112,13 @@ class Engine:
         #: Run-ahead completions so far, each standing in for the heap
         #: dispatch of one CPU timer.
         self._n_ahead = 0
+        #: The timer slot: one re-armable timer, ``(_slot_when,
+        #: _slot_seq)``, owned by the first CPU built on a fast engine
+        #: (see :meth:`_claim_slot`); ``_slot_when`` is ``_NEVER`` while
+        #: disarmed.  Firing disarms it and calls ``_slot_fn()``.
+        self._slot_when = _NEVER
+        self._slot_seq = 0
+        self._slot_fn: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # Clock and scheduling
@@ -132,16 +154,27 @@ class Engine:
             return
         heapq.heappush(self._queue, (self._now + delay_ns, self._seq, fn, arg))
 
+    def _claim_slot(self, fn: Callable[[], None]) -> bool:
+        """Give the timer slot to the caller, whose timer fires as
+        ``fn()``; ``False`` when the engine is heap-only or the slot
+        already has an owner (that caller keeps heap timers)."""
+        if not self._fast or self._slot_fn is not None:
+            return False
+        self._slot_fn = fn
+        return True
+
     def _inline_ok(self) -> bool:
         """True when a zero-delay continuation may run *immediately*
         (inside the current event) instead of via the queue: nothing else
         is pending at this instant, so no event could be reordered.  A
         thread a CPU timer completed at this instant and has not resumed
-        yet counts as pending: the queued step would run after it."""
+        yet counts as pending: the queued step would run after it; so
+        does a slot timer due at this instant."""
         return (
             self._fast
             and not self._imm
             and not self._held
+            and self._slot_when != self._now
             and (not self._queue or self._queue[0][0] > self._now)
         )
 
@@ -215,28 +248,48 @@ class Engine:
                 return self._run_metered(until)
             while True:
                 # Zero-delay events belong to the current instant; the
-                # heap may also hold entries for this instant, so the
-                # shared seq numbering decides which fires first.
+                # heap and the timer slot may also hold entries for this
+                # instant, so the shared seq numbering decides which
+                # fires first.
                 if imm:
-                    if queue and queue[0][0] == self._now and queue[0][1] < imm[0][0]:
+                    if self._slot_when == self._now and self._slot_seq < imm[0][0]:
+                        if queue and queue[0][0] == self._now and queue[0][1] < self._slot_seq:
+                            _when, _seq, fn, arg = heappop(queue)
+                            fn(arg)
+                        else:
+                            self._slot_when = _NEVER
+                            self._slot_fn()
+                    elif queue and queue[0][0] == self._now and queue[0][1] < imm[0][0]:
                         _when, _seq, fn, arg = heappop(queue)
                         fn(arg)
                     else:
                         _seq, fn, arg = imm_popleft()
                         fn(arg)
-                elif queue:
-                    if queue[0][0] > until:
-                        self._now = until
-                        return self._now
-                    when, _seq, fn, arg = heappop(queue)
-                    if when < self._now:
-                        raise SimulationError(
-                            "event queue went backwards in time"
-                        )
-                    self._now = when
-                    fn(arg)
                 else:
-                    break
+                    when = self._slot_when
+                    if queue and (
+                        queue[0][0] < when
+                        or (queue[0][0] == when and queue[0][1] < self._slot_seq)
+                    ):
+                        if queue[0][0] > until:
+                            self._now = until
+                            return self._now
+                        when, _seq, fn, arg = heappop(queue)
+                        if when < self._now:
+                            raise SimulationError(
+                                "event queue went backwards in time"
+                            )
+                        self._now = when
+                        fn(arg)
+                    elif when != _NEVER:
+                        if when > until:
+                            self._now = until
+                            return self._now
+                        self._now = when
+                        self._slot_when = _NEVER
+                        self._slot_fn()
+                    else:
+                        break
                 if self._n_live_foreground == 0:
                     return self._now
             blocked = self._live_foreground_threads()
@@ -252,7 +305,8 @@ class Engine:
 
     def _run_metered(self, until: int) -> int:
         """Line-for-line copy of the :meth:`run` loop that counts event
-        dispatches by queue (imm deque vs time-ordered heap).
+        dispatches by queue (imm deque vs time-ordered heap; a slot
+        timer counts as a heap dispatch).
 
         Counting into local ints and flushing once (in ``finally``, so
         partial counts survive exceptions) keeps the per-event overhead
@@ -271,7 +325,16 @@ class Engine:
         try:
             while True:
                 if imm:
-                    if queue and queue[0][0] == self._now and queue[0][1] < imm[0][0]:
+                    if self._slot_when == self._now and self._slot_seq < imm[0][0]:
+                        if queue and queue[0][0] == self._now and queue[0][1] < self._slot_seq:
+                            _when, _seq, fn, arg = heappop(queue)
+                            n_heap += 1
+                            fn(arg)
+                        else:
+                            self._slot_when = _NEVER
+                            n_heap += 1
+                            self._slot_fn()
+                    elif queue and queue[0][0] == self._now and queue[0][1] < imm[0][0]:
                         _when, _seq, fn, arg = heappop(queue)
                         n_heap += 1
                         fn(arg)
@@ -279,20 +342,33 @@ class Engine:
                         _seq, fn, arg = imm_popleft()
                         n_imm += 1
                         fn(arg)
-                elif queue:
-                    if queue[0][0] > until:
-                        self._now = until
-                        return self._now
-                    when, _seq, fn, arg = heappop(queue)
-                    if when < self._now:
-                        raise SimulationError(
-                            "event queue went backwards in time"
-                        )
-                    self._now = when
-                    n_heap += 1
-                    fn(arg)
                 else:
-                    break
+                    when = self._slot_when
+                    if queue and (
+                        queue[0][0] < when
+                        or (queue[0][0] == when and queue[0][1] < self._slot_seq)
+                    ):
+                        if queue[0][0] > until:
+                            self._now = until
+                            return self._now
+                        when, _seq, fn, arg = heappop(queue)
+                        if when < self._now:
+                            raise SimulationError(
+                                "event queue went backwards in time"
+                            )
+                        self._now = when
+                        n_heap += 1
+                        fn(arg)
+                    elif when != _NEVER:
+                        if when > until:
+                            self._now = until
+                            return self._now
+                        self._now = when
+                        self._slot_when = _NEVER
+                        n_heap += 1
+                        self._slot_fn()
+                    else:
+                        break
                 if self._n_live_foreground == 0:
                     return self._now
             blocked = self._live_foreground_threads()
