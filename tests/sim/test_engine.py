@@ -128,6 +128,11 @@ class TestImmediateFastPath:
         assert engine._inline_ok()  # future heap entry: no conflict
         engine._now = 3
         assert not engine._inline_ok()  # same-instant heap entry
+        engine._queue.clear()
+        engine._slot_when = 4
+        assert engine._inline_ok()  # future slot timer: no conflict
+        engine._now = 4
+        assert not engine._inline_ok()  # due slot timer
         assert not Engine(fast=False)._inline_ok()
 
     def test_zero_delay_spawn_keeps_spawn_order(self):
