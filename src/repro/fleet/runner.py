@@ -44,8 +44,7 @@ def _trial_job(
     ``LANE_STATS`` is process-global, so in a pool worker the only way
     to attribute counters to *this* trial is a before/after snapshot;
     the delta rides back with the row (rows themselves never carry lane
-    stats — they must stay byte-identical with the batch shortcut on
-    or off).
+    stats — they must stay byte-identical with window runs on or off).
     """
     before = LANE_STATS.snapshot()
     row = run_fleet_trial(config, policy, seed, psi=psi, spans=spans)

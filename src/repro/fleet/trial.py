@@ -43,7 +43,7 @@ from repro.workloads.zipf import ZipfSampler
 #: Row format tag (also the sink's header format).
 ROW_FORMAT = "repro.fleet/v2"
 
-#: Requests classified and accounted per batch inside a tenant thread
+#: Requests served and accounted per batch inside a tenant thread
 #: (matches the YCSB workload's batching idiom).  It stays the unit of
 #: ``LANE_STATS`` and the ``fleet_batch`` hook when a window run serves
 #: several batches at once: the run accounts each one it covers.
@@ -65,7 +65,7 @@ class _LaneStats:
     the metrics plane; the ``fleet_batch``/``fleet_lane`` events feed the
     same numbers into a :class:`~repro.metrics.session.MetricsSession`
     registry as ``repro_fleet_*`` metrics.  The loop reports identical
-    request/residue counts for the same cell with its batch shortcut on
+    request/residue counts for the same cell with its window runs on
     or off — only the fast/scalar trial counters tell the modes apart —
     so surfacing them can never leak the mode into sink rows or reports.
     """
@@ -242,13 +242,12 @@ def _tenant_body(
     item_start: int,
     slo_ns: int,
     state: _TenantState,
-    memcg: Optional[MemCgroup] = None,
     shortcut: bool = True,
 ) -> Iterator[Any]:
     """Open-loop server for one tenant.
 
     **Burst semantics** (the loop's contract, which it obeys with its
-    batch shortcut on or off, so rows are byte-identical either way):
+    shortcut on or off, so rows are byte-identical either way):
     requests that have already arrived and hit resident pages accrue
     their per-request compute into ``pending_ns`` instead of yielding
     one ``Compute`` each; the accrued work flushes as a single
@@ -266,53 +265,34 @@ def _tenant_body(
     when its last fault resolves.  Fault latency is still measured
     around each ``handle_fault`` alone.
 
-    Between two flush points the thread never yields, so page presence
-    observed at a burst's start instant holds for the whole burst (a
-    page another tenant's reclaim evicts cannot *become* present except
-    through this thread's own fault path).
+    **Two serving paths.**  The per-request path serves a
+    ``KEY_BATCH`` one request at a time through Python-list mirrors of
+    the batch (plain int indexing is several times cheaper than numpy
+    scalar indexing), reading live presence: a hit sets its PTE bits
+    and waits for the burst's flush, and a miss takes the fault path.
 
-    **The batch shortcut** (``shortcut=True``) serves that frozen window
-    wholesale.  Per burst-start instant it takes one numpy gather over
-    the flat PTE mirror and serves the maximal run of requests bounded
-    by three prefixes:
+    With ``shortcut=True``, a batch boundary may instead start a
+    *window run*.  When the rest of the draw window has arrived, fits
+    the remaining compute quantum (its last request may reach the
+    quantum and flush) and finds both pages of every request resident
+    in one gather over the flat PTE mirror, the per-request path would
+    serve it as back-to-back hits without yielding (between two flush
+    points no other thread runs, so no page can leave), and one run
+    does the same stores: three batched ``policy.on_batch_access``
+    calls for the accessed and dirty bits, one hit-counter add, and the
+    run's arrivals as one chunk for the burst's flush.  It accounts
+    ``LANE_STATS`` and one ``fleet_batch`` event per covered
+    ``KEY_BATCH``, the last one after any quantum flush the run ends
+    on, as the per-request path does.  Window indices come straight
+    from the drawn Zipf ranks through per-tenant rank -> PTE index
+    maps composed once.
 
-    - **arrival**: ``searchsorted`` over the (sorted) arrival times —
-      requests that have not arrived yet end the burst;
-    - **presence**: both the index and item page resident, classified
-      at the burst-start instant;
-    - **quantum budget**: how many requests fit before ``pending_ns``
-      reaches the compute quantum.
-
-    At a batch boundary, a run may cover the rest of the draw window
-    (a *window run*): when every remaining request has arrived, fits
-    the remaining quantum and finds both pages resident in one
-    classification over the rest of the window, the batch path would
-    serve it as back-to-back runs without yielding, so one run does the
-    same stores.  It accounts ``LANE_STATS`` and one ``fleet_batch``
-    event per covered ``KEY_BATCH``, the last one after any quantum
-    flush the run ends on, as the batch path does.  Window indices come
-    straight from the drawn Zipf ranks through per-tenant rank -> PTE
-    index maps composed once.
-
-    A run's accessed/dirty bits are three batched
-    ``policy.on_batch_access`` stores (one hook call per segment rather
-    than two per request), and its hit counters are one add.  Its
-    arrivals wait as a chunk for the burst's flush, which records all of
-    the burst's chunks from their sorted arrivals alone:
-    ``Histogram.observe_elapsed`` searches the bucket edges (binning
-    identically to scalar ``observe``), one ``searchsorted`` counts the
-    SLO violators, and the earliest arrival opens the PSI violation
-    window, so no per-request latency array is built.  The batch-wide
-    classification is cached until the tenant cgroup's ``evict_epoch``
-    moves (every present->absent transition of a tenant page is an
-    uncharge).
-
-    Every request the shortcut does not take serves one at a time
-    through Python-list mirrors of the batch arrays: a hit through the
-    per-request hit branch, and a fault (or a stale classification)
-    through the residue path, the per-request fault path.  With
-    ``shortcut=False`` no batch is classified and every request goes
-    that way, reading live presence.
+    A burst's flush records its hits from their arrivals alone.  For a
+    window run's chunk, ``Histogram.observe_elapsed`` searches the
+    sorted arrivals for the bucket edges (binning identically to scalar
+    ``observe``), one ``searchsorted`` counts the SLO violators, and
+    the earliest arrival opens the PSI violation window, so no
+    per-request latency array is built.
     """
     key_rng = system.rng.stream("fleet", "keys", tenant)
     op_rng = system.rng.stream("fleet", "ops", tenant)
@@ -351,46 +331,12 @@ def _tenant_body(
     )
     pending_ns = 0
     #: Hit requests awaiting their burst flush: single arrivals from
-    #: per-request serves, arrival-slice chunks from vector runs.
+    #: the per-request path, arrival-slice chunks from window runs.
     #: Histogram binning and the SLO count are order-independent sums,
     #: so observing the scalars before the chunks matches arrival order
     #: bin-for-bin.
     w_scalar: List[int] = []
     w_chunks: List[np.ndarray] = []
-
-    def serve_hits(
-        run_i: np.ndarray,
-        run_t: np.ndarray,
-        run_wm: Optional[np.ndarray],
-        run_arr: np.ndarray,
-    ) -> int:
-        """Serve a run of arrived requests whose pages are all resident;
-        returns the run's compute.
-
-        The index and item pages' accessed bits and the written item
-        pages' dirty bits are batched ``on_batch`` stores (``run_wm`` is
-        ``None`` when no request of the run writes); the arrivals wait
-        for the burst's flush.  Tiny runs flush cheaper through the
-        scalar waiting list than as numpy chunks: a flush holding any
-        chunk pays a fixed concatenate and bucket-edge search, which
-        bursts of short runs (heavy pressure) would pay for a handful of
-        requests.  The aggregates are order-independent, and what the
-        chunks keep of the arrivals stays sorted, so routing is
-        bin-identical either way.
-        """
-        k = run_arr.shape[0]
-        on_batch(flat, run_i, False)
-        if run_wm is None:
-            on_batch(flat, run_t, False)
-        else:
-            on_batch(flat, run_t[~run_wm], False)
-            on_batch(flat, run_t[run_wm], True)
-        stats.hits += 2 * k
-        if k <= 16:
-            w_scalar.extend(run_arr.tolist())
-        else:
-            w_chunks.append(run_arr)
-        return k * c
 
     def flush_observe() -> None:
         now = engine.now
@@ -448,25 +394,25 @@ def _tenant_body(
             w_start, w_end = issued, issued + window
         lo = issued - w_start
         if shortcut and engine.now >= w_arr_last:
-            # The rest of the window has arrived.  If it fits the
-            # remaining compute quantum (its last request may reach the
-            # quantum, flushing after the run as the batch path does)
-            # and all of its pages are resident, the batch path would
-            # serve it as back-to-back vector runs without yielding:
-            # serve it as one.
+            # The rest of the window has arrived: a window run if it
+            # fits the remaining quantum and is wholly resident.
             rest = w_end - issued
             if not c or rest <= -(-(quantum - pending_ns) // c):
                 rest_i = w_iidx[lo:]
                 rest_t = w_tidx[lo:]
                 if (present[rest_i] & present[rest_t]).all():
-                    pending_ns += serve_hits(
-                        rest_i,
-                        rest_t,
-                        w_write[lo:] if w_any_write else None,
-                        w_arr[lo:],
-                    )
-                    # Account each covered KEY_BATCH as the batch path
-                    # does, the last one after the run's flush.
+                    on_batch(flat, rest_i, False)
+                    if w_any_write:
+                        rest_w = w_write[lo:]
+                        on_batch(flat, rest_t[~rest_w], False)
+                        on_batch(flat, rest_t[rest_w], True)
+                    else:
+                        on_batch(flat, rest_t, False)
+                    stats.hits += 2 * rest
+                    pending_ns += rest * c
+                    w_chunks.append(w_arr[lo:])
+                    # Account each covered KEY_BATCH as the per-request
+                    # path does, the last one after the run's flush.
                     n_before = (rest - 1) // KEY_BATCH
                     issued = w_end
                     LANE_STATS.requests += rest
@@ -482,184 +428,36 @@ def _tenant_body(
                         _tp.fleet_batch(rest - n_before * KEY_BATCH, 0)
                     continue
         batch = min(KEY_BATCH, w_end - issued)
-        iidx = w_iidx[lo : lo + batch]
-        tidx = w_tidx[lo : lo + batch]
-        arr = w_arr[lo : lo + batch]
-        write_mask = w_write[lo : lo + batch]
-        any_write = w_any_write and bool(write_mask.any())
-        # Once ``engine.now`` passes the batch's last arrival, every
-        # request of the batch has arrived and the arrival checks below
-        # are settled without reading the arrivals.
-        arr_last = int(arr[-1])
-        # Python-list mirrors for the per-request paths:
-        # plain int indexing is several times cheaper than numpy scalar
-        # indexing.  They materialize on first use, so a batch that has
-        # wholly arrived and is fully vector-served never pays for them.
-        arr_l: Optional[List[int]] = None
-        iidx_l: Optional[List[int]] = None
-        tidx_l: Optional[List[int]] = None
-        wm_l: Optional[List[bool]] = None
-        if shortcut:
-            # One batch-wide classification, reused until this cgroup's
-            # eviction epoch moves.  A cached True can only go stale
-            # through an eviction (which bumps the epoch via uncharge);
-            # a cached False can also go stale through this thread's
-            # *own* fault path mapping the page back in — stale-False is
-            # safe because the residue path re-reads live presence and
-            # serves the request as a hit when both pages turn out
-            # resident.  ``pres_all`` (the common steady-state: every
-            # page of the batch resident) elides both the list mirror
-            # and the per-request run scan.
-            pres_a = present[iidx] & present[tidx]
-            n_pres = int(np.count_nonzero(pres_a))
-            pres_all = n_pres == batch
-            pres_l = None if pres_all else pres_a.tolist()
-            pres_valid = True
-            # Re-gathering after an invalidation only pays when the
-            # batch is densely resident (long vector runs).  Sparse
-            # batches — heavy-pressure cells where a classification
-            # serves only a couple of requests before the next fault —
-            # serve request by request off live reads instead.
-            gather_ok = pres_all or n_pres * 10 >= batch * 9
-        else:
-            # No classification: every request serves one at a time
-            # off live reads (``k_arr`` stays 1 below).
-            pres_valid = gather_ok = False
-        epoch = memcg.evict_epoch if memcg is not None else 0
+        hi = lo + batch
         n_residue = 0
-        pos = 0
-        while pos < batch:
-            now = engine.now
-            if now < arr_last:
-                if arr_l is None:
-                    arr_l = arr.tolist()
-                if arr_l[pos] > now:
-                    # Next request not here yet: flush, re-check, sleep.
-                    if pending_ns:
-                        yield Compute(pending_ns)
-                        pending_ns = 0
-                    flush_observe()
-                    arrival = arr_l[pos]
-                    if arrival > engine.now:
-                        yield Sleep(arrival - engine.now)
-                    continue
-            if (
-                pres_valid
-                and memcg is not None
-                and memcg.evict_epoch != epoch
-            ):
-                # An eviction moved the epoch: just drop the cache.
-                # Single pending requests serve off two live scalar
-                # reads; a whole-batch re-gather waits for the next
-                # multi-request run, where it amortizes — eviction-heavy
-                # (arrival-bound) cells never have one and would
-                # otherwise re-gather every few requests.
-                pres_valid = False
-            if not (pres_valid or gather_ok):
-                # An invalidated sparse batch (or any batch with the
-                # shortcut off) serves request by request, so the exact
-                # burst length (a searchsorted per request) is unused.
-                k_arr = 1
-            elif now >= arr_last:
-                k_arr = batch - pos
-            elif pos + 1 < batch and arr_l[pos + 1] <= now:
-                k_arr = int(arr.searchsorted(now, side="right")) - pos
-            else:
-                k_arr = 1  # a single arrival
-            if k_arr == 1 or (not pres_valid and k_arr <= 16):
-                # Arrival-bound regime: one request pending (or a short
-                # burst with the classification invalidated — serving
-                # it request-by-request off live reads beats paying a
-                # whole-batch re-gather for a handful of requests).
-                # Scalar ops beat numpy call overhead on length-1
-                # segments.
-                if iidx_l is None:
-                    if arr_l is None:
-                        arr_l = arr.tolist()
-                    iidx_l = iidx.tolist()
-                    tidx_l = tidx.tolist()
-                    wm_l = write_mask.tolist()
-                if pres_valid:
-                    hit = pres_all or pres_l[pos]
-                else:
-                    hit = bool(
-                        present[iidx_l[pos]] and present[tidx_l[pos]]
-                    )
-                if hit:
-                    t_j = tidx_l[pos]
-                    accessed[iidx_l[pos]] = True
-                    accessed[t_j] = True
-                    if wm_l[pos]:
-                        dirty[t_j] = True
-                    stats.hits += 2
-                    pending_ns += c
-                    w_scalar.append(arr_l[pos])
-                    pos += 1
-                    if c and pending_ns >= quantum:
-                        yield Compute(pending_ns)
-                        pending_ns = 0
-                        flush_observe()
-                    continue
-                k = 0
-            else:
-                k_max = k_arr
-                if c:
-                    k_q = -(-(quantum - pending_ns) // c)  # ceil
-                    if k_q < k_max:
-                        k_max = k_q
-                if not pres_valid:
-                    # A long run over a dense batch makes the re-gather
-                    # pay off (gather_ok held, or we would not be here).
-                    seg = present[iidx[pos:]] & present[tidx[pos:]]
-                    pres_all = bool(seg.all())
-                    if pres_all:
-                        pres_l = None
-                    else:
-                        if pres_l is None:
-                            pres_l = [True] * batch
-                        pres_l[pos:] = seg.tolist()
-                    gather_ok = (
-                        pres_all
-                        or int(seg.sum()) * 10 >= seg.shape[0] * 9
-                    )
-                    epoch = memcg.evict_epoch if memcg is not None else 0
-                    pres_valid = True
-                if pres_all:
-                    k = k_max
-                else:
-                    k = 0
-                    while k < k_max and pres_l[pos + k]:
-                        k += 1
-            if k > 0:
-                pending_ns += serve_hits(
-                    iidx[pos : pos + k],
-                    tidx[pos : pos + k],
-                    write_mask[pos : pos + k] if any_write else None,
-                    arr[pos : pos + k],
-                )
-                pos += k
+        for arrival, i_j, t_j, write in zip(
+            w_arr[lo:hi].tolist(),
+            w_iidx[lo:hi].tolist(),
+            w_tidx[lo:hi].tolist(),
+            w_write[lo:hi].tolist(),
+        ):
+            if arrival > engine.now:
+                # Next request not here yet: flush, re-check, sleep.
+                if pending_ns:
+                    yield Compute(pending_ns)
+                    pending_ns = 0
+                flush_observe()
+                if arrival > engine.now:
+                    yield Sleep(arrival - engine.now)
+            pending_ns += c
+            if present[i_j] and present[t_j]:
+                accessed[i_j] = True
+                accessed[t_j] = True
+                if write:
+                    dirty[t_j] = True
+                stats.hits += 2
+                w_scalar.append(arrival)
                 if c and pending_ns >= quantum:
                     yield Compute(pending_ns)
                     pending_ns = 0
                     flush_observe()
-                    continue
-                if k == k_arr or pos >= batch:
-                    continue
-            # Residue request at *pos*: arrived, under quantum budget,
-            # not served as a hit (possibly stale-False) — the
-            # per-request fault path, against live presence.
-            if iidx_l is None:
-                if arr_l is None:
-                    arr_l = arr.tolist()
-                iidx_l = iidx.tolist()
-                tidx_l = tidx.tolist()
-                wm_l = write_mask.tolist()
-            arrival = arr_l[pos]
-            write = wm_l[pos]
-            pending_ns += c
-            faulted = False
-            i_j = iidx_l[pos]
-            t_j = tidx_l[pos]
+                continue
+            # A miss: the per-request fault path.
             if present[i_j]:
                 stats.hits += 1
                 accessed[i_j] = True
@@ -678,7 +476,6 @@ def _tenant_body(
                     state.major_faults += 1
                 else:
                     state.minor_faults += 1
-                faulted = True
             # The item page is re-read *now*: an index fault above may
             # have yielded, and reclaim can evict (or the fault path
             # fill) it meanwhile.
@@ -702,47 +499,13 @@ def _tenant_body(
                     state.major_faults += 1
                 else:
                     state.minor_faults += 1
-                faulted = True
-            if faulted:
-                n_residue += 1
-                latency = engine.now - arrival
-                request_hist.observe(latency)
-                if latency > slo_ns:
-                    state.slo_violations += 1
-                    if viol is not None:
-                        _viol_add(viol, arrival + slo_ns, engine.now)
-            else:
-                # Stale-False: both pages live after all (this thread
-                # faulted them in earlier in the batch) — a plain hit.
-                w_scalar.append(arrival)
-                if c and pending_ns >= quantum:
-                    yield Compute(pending_ns)
-                    pending_ns = 0
-                    flush_observe()
-            pos += 1
-            # A stale-False residue means the cached classification is
-            # actively lying — this thread's own faults flipped pages
-            # False->True (the epoch guard only sees evictions).
-            # Re-classify the rest of the batch so a cold stretch goes
-            # back to vector serving instead of crawling
-            # request-by-request.  A genuinely faulting residue skips
-            # the refresh: its cache entry was *right*, and fault-heavy
-            # (arrival-bound) cells would pay one gather per fault for
-            # nothing.  With the shortcut off nothing is classified.
-            if shortcut and not faulted and pos < batch:
-                seg = present[iidx[pos:]] & present[tidx[pos:]]
-                pres_all = bool(seg.all())
-                if pres_all:
-                    pres_l = None
-                else:
-                    if pres_l is None:
-                        pres_l = [True] * batch
-                    pres_l[pos:] = seg.tolist()
-                gather_ok = (
-                    pres_all or int(seg.sum()) * 10 >= seg.shape[0] * 9
-                )
-                epoch = memcg.evict_epoch if memcg is not None else 0
-                pres_valid = True
+            n_residue += 1
+            latency = engine.now - arrival
+            request_hist.observe(latency)
+            if latency > slo_ns:
+                state.slo_violations += 1
+                if viol is not None:
+                    _viol_add(viol, arrival + slo_ns, engine.now)
         issued += batch
         LANE_STATS.requests += batch
         LANE_STATS.residue_requests += n_residue
@@ -770,7 +533,7 @@ def run_fleet_trial(
 ) -> Dict[str, Any]:
     """One fleet execution on a fresh simulator; returns a sink row.
 
-    ``fast_fleet`` turns the serving loop's batch shortcut on (the
+    ``fast_fleet`` turns the serving loop's window runs on (the
     default) or off (every request served one at a time).  Both modes
     emit identical command streams, so the returned row is
     byte-identical either way.
@@ -921,7 +684,6 @@ def run_fleet_trial(
                     starts[i][1],
                     config.slo_ns,
                     states[i],
-                    cgroups[i],
                     fast_fleet,
                 ),
                 f"tenant-{i}",

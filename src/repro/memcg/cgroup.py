@@ -95,12 +95,6 @@ class MemCgroup:
     index: int = 0
     usage_pages: int = 0
     stats: MemCgroupStats = field(default_factory=MemCgroupStats)
-    #: Bumped on every uncharge.  Every present->absent transition of a
-    #: page charged here goes through an uncharge (eviction frees the
-    #: frame with ``uncharge=page.memcg``), so an unchanged epoch means
-    #: no page of this cgroup lost residency — the fleet fast lane's
-    #: licence to reuse a cached batch-wide presence classification.
-    evict_epoch: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.limit_pages is not None and self.limit_pages < 1:
@@ -169,7 +163,6 @@ class MemCgroup:
 
     def uncharge(self, n_pages: int = 1) -> None:
         """Release *n_pages* from the ledger; going negative is a bug."""
-        self.evict_epoch += 1
         self.usage_pages -= n_pages
         if self.usage_pages < 0:
             raise SimulationError(

@@ -282,16 +282,15 @@ class MetricsSession:
         ).labels()
         fleet_residue = reg.counter(
             "repro_fleet_residue_requests_total",
-            help="Fleet batch requests that faulted (left the batched "
-            "hit path for the scalar fault path).",
+            help="Fleet batch requests that faulted (took the "
+            "per-request fault path).",
             unit="requests",
         ).labels()
         residue_buf = self._buffer_scalars(
             reg.histogram(
                 "repro_fleet_residue_per_batch",
-                help="Faulting (residue) requests per fleet key batch — "
-                "the fast lane's vectorization quality: 0 means the "
-                "whole batch served from resident pages.",
+                help="Faulting (residue) requests per fleet key batch: "
+                "0 means the whole batch hit resident pages.",
                 unit="requests",
             ).labels()
         )
@@ -311,8 +310,8 @@ class MetricsSession:
 
         fleet_trials = reg.counter(
             "repro_fleet_trials_total",
-            help="Fleet trials by serving mode (fast = batch shortcut "
-            "on, scalar = shortcut off, every request served alone).",
+            help="Fleet trials by serving mode (fast = window runs "
+            "on, scalar = off, every request served alone).",
             unit="trials",
             labelnames=("lane",),
         )

@@ -83,13 +83,14 @@ class ReplacementPolicy(abc.ABC):
         the PTE bits override with plain numpy writes.
 
         Two fast paths feed this hook: the single-process resident-run
-        path (``REPRO_FAST_ACCESS``) and the fleet serving loop's batch
-        shortcut (``run_fleet_trial(fast_fleet=True)``, the default),
-        where it arrives via :class:`~repro.memcg.policy.MemcgPolicy`
-        with a tenant's index- and item-page runs — *idx* may then
-        repeat indices within one call (many keys, one hot page), which
-        is indistinguishable from repeated scalar accesses for PTE-bit
-        bookkeeping and must stay so for any override.
+        path (``REPRO_FAST_ACCESS``) and the fleet serving loop's window
+        runs (``run_fleet_trial(fast_fleet=True)``, the default), where
+        it arrives via :class:`~repro.memcg.policy.MemcgPolicy` with the
+        index and item pages of the rest of a tenant's draw window —
+        *idx* may then repeat indices within one call (many keys, one
+        hot page), which is indistinguishable from repeated scalar
+        accesses for PTE-bit bookkeeping and must stay so for any
+        override.
         """
         for page in flat.pages[idx]:
             page.accessed = True

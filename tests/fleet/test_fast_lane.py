@@ -1,10 +1,10 @@
-"""The fleet serving loop's batch shortcut: on == off, bit for bit.
+"""The fleet serving loop's window runs: on == off, bit for bit.
 
-The contract under test (see ``_tenant_body``): with the batch shortcut
-on (``run_fleet_trial(fast_fleet=True)``, the default), every fleet
-trial must emit the *same command stream* as with it off, when every
+The contract under test (see ``_tenant_body``): with window runs on
+(``run_fleet_trial(fast_fleet=True)``, the default), every fleet trial
+must emit the *same command stream* as with them off, when every
 request is served one at a time, so sink rows, reports, and lane
-telemetry are byte-identical in both modes — the shortcut may only move
+telemetry are byte-identical in both modes — window runs may only move
 wall-clock time.
 """
 
@@ -61,15 +61,15 @@ def test_fast_lane_rows_byte_identical_with_limits(policy, swap):
 
 
 def test_fast_lane_serving_bound_regime_identical():
-    # The whole trace is pending at t~0, driving the shortcut's long
-    # vector runs (the regime the fleet bench gates on) instead of the
-    # arrival-bound request-at-a-time paths above.
+    # The whole trace is pending at t~0, driving long window runs (the
+    # regime the fleet bench gates on) instead of the arrival-bound
+    # request-at-a-time path above.
     _rows_identical(small_config(**SERVING_BOUND), "mglru")
 
 
 def test_slo_deadline_arrival_is_no_violation(monkeypatch):
-    # A request whose latency is exactly ``slo_ns`` meets its SLO.  The
-    # shortcut counts a burst's violators by searching its sorted
+    # A request whose latency is exactly ``slo_ns`` meets its SLO.  A
+    # flush counts a window run's violators by searching its sorted
     # arrivals, so pick the SLO that puts one chunk arrival exactly on
     # a flush's deadline; the shortcut-off loop judges it per request.
     flushes = []
@@ -173,8 +173,8 @@ def test_lane_stats_and_metrics_hooks():
     finally:
         tracepoints.detach("fleet_batch", on_batch)
         tracepoints.detach("fleet_lane", on_lane)
-    # Both modes classify the same requests as residue (the counters
-    # are mode-independent by construction), and the LANE_STATS mirror
+    # Both modes count the same requests as residue (the counters are
+    # mode-independent by construction), and the LANE_STATS mirror
     # matches the hook-fed totals.
     assert counts["requests"] == 2 * config.n_requests_total
     assert counts["lanes"] == [True, False]

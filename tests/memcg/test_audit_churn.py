@@ -1,12 +1,12 @@
-"""The charge-ledger invariant *during* a fast-lane fleet trial.
+"""The charge-ledger invariant *during* a fleet trial.
 
 ``run_fleet_trial`` audits once at trial end.  The sharper claim — the
 sum of per-cgroup usage equals the global allocated-frame count at
-*every event boundary*, even while the vectorized serving lane batches
-accesses and tenants churn each other's pages out — is exercised here
-by a read-only auditor daemon that re-audits the ledger at every
-eviction epoch it observes moving, and fails loudly if churn never
-happens at all.
+*every event boundary*, even while window runs serve whole stretches of
+requests at once and tenants churn each other's pages out — is
+exercised here by a read-only auditor daemon that re-audits the ledger
+whenever the system's eviction count has moved since its last tick,
+and fails loudly if churn never happens at all.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.sim.events import Sleep
 def churn_config() -> FleetConfig:
     """Hard per-tenant limits + tight global capacity: every tenant
     reclaims at charge time and steals under global pressure, so
-    eviction epochs move constantly."""
+    evictions land constantly."""
     return FleetConfig(
         n_tenants=3,
         shapes=(TenantShape(n_items=200),),
@@ -40,9 +40,9 @@ def churn_config() -> FleetConfig:
 
 def _install_auditor(monkeypatch) -> dict:
     """Patch ``MemorySystem.start`` to also spawn an auditor daemon
-    that calls ``audit_usage`` whenever a cgroup's eviction epoch moved
-    since its last tick; returns the live counters."""
-    counts = {"audits": 0, "epoch_moves": 0}
+    that calls ``audit_usage`` whenever ``system.stats.evictions``
+    moved since its last tick; returns the live counters."""
+    counts = {"audits": 0, "eviction_moves": 0}
     orig_start = MemorySystem.start
 
     def start_with_auditor(self):
@@ -50,17 +50,17 @@ def _install_auditor(monkeypatch) -> dict:
         system = self
 
         def auditor():
-            cgroups = system.policy.cgroups
-            last = [cg.evict_epoch for cg in cgroups]
+            stats = system.stats
+            last = stats.evictions
             while True:
                 yield Sleep(20 * US)
-                current = [cg.evict_epoch for cg in cgroups]
-                if current != last:
-                    counts["epoch_moves"] += 1
-                    last = current
-                    # The interesting instant: an eviction (uncharge)
-                    # landed since the last tick.  Audit right here —
-                    # raises SimulationError on any ledger drift.
+                if stats.evictions != last:
+                    counts["eviction_moves"] += 1
+                    last = stats.evictions
+                    # The interesting instant: an eviction (a frame
+                    # freed with its uncharge) landed since the last
+                    # tick.  Audit right here — raises SimulationError
+                    # on any ledger drift.
                     audit_usage(system)
                     counts["audits"] += 1
 
@@ -74,10 +74,10 @@ def _install_auditor(monkeypatch) -> dict:
 def test_ledger_holds_at_eviction_epochs_fast_lane(monkeypatch, policy):
     counts = _install_auditor(monkeypatch)
     row = run_fleet_trial(churn_config(), policy, 11, fast_fleet=True)
-    # The cell really churned: tenant epochs moved many times and the
-    # auditor checked the ledger at those boundaries without raising.
-    assert counts["epoch_moves"] >= 20
-    assert counts["audits"] == counts["epoch_moves"]
+    # The cell really churned: the eviction count moved many times and
+    # the auditor checked the ledger at those boundaries without raising.
+    assert counts["eviction_moves"] >= 20
+    assert counts["audits"] == counts["eviction_moves"]
     assert row["totals"]["evictions"] > 0
 
 
