@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.fleet import FleetConfig, TenantShape, run_fleet_trial
 from repro.fleet.trial import KEY_BATCH
+from repro.histogram import Histogram
 from repro.memcg import MemcgPolicy
 from repro.trace import tracepoints
 
@@ -55,7 +56,7 @@ def small_config(**overrides: Any) -> FleetConfig:
 
 
 #: Compressed arrivals and zero per-request compute: the whole trace is
-#: pending at t~0, so the loop serves long vector runs.
+#: pending at t~0, so the loop serves long window runs.
 SERVING_BOUND: Dict[str, Any] = dict(
     shapes=(TenantShape(n_items=60, read_fraction=1.0, request_compute_ns=0),),
     capacity_ratio=0.95,
@@ -77,13 +78,13 @@ DRAW_WINDOW_CELLS: Dict[str, Dict[str, Any]] = {
     "serving-bound": dict(n_requests_total=5_000, **SERVING_BOUND),
 }
 #: PSI on and an SLO that nearly every request misses: most requests
-#: are recorded through vector-run chunk flushes, so the row's
+#: are recorded through window-run chunk flushes, so the row's
 #: ``psi.viol_ns`` pins the flush's SLO count and violation windows.
 PSI_VIOLATIONS: Dict[str, Any] = dict(
     n_requests_total=5_000, slo_ns=50_000, **SERVING_BOUND
 )
 #: Serving-bound tenants that write: half and 5% of their requests are
-#: writes, so the vector runs' dirty-bit stores decide which evictions
+#: writes, so the window runs' dirty-bit stores decide which evictions
 #: write back, and so the row.
 SERVING_WRITES: Dict[str, Any] = dict(
     n_tenants=6,
@@ -205,43 +206,20 @@ def test_serving_bound_cells_take_window_runs(monkeypatch, cell_id):
         assert max(n for n, write in stores if write) > KEY_BATCH
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    policy=st.sampled_from(POLICIES),
-    swap=st.sampled_from(("ssd", "zram")),
-    n_tenants=st.integers(1, 4),
-    n_requests=st.integers(1, 2_000),
-    capacity_ratio=st.floats(0.2, 1.0),
-    limit=st.booleans(),
-    read_fraction=st.sampled_from((0.0, 0.5, 0.95, 1.0)),
-    compute_ns=st.sampled_from((0, 20, 2_000)),
-    serving_bound=st.booleans(),
-    slo_ns=st.sampled_from((50_000, 2_000_000)),
-    psi=st.booleans(),
-    seed=st.integers(0, 1_000),
-)
-# Quantum-sized bursts of vector runs, each flush with violators: the
-# PSI violation windows must open at the same arrival in both modes.
-@example(
-    policy="clock", swap="ssd", n_tenants=3, n_requests=1_500,
-    capacity_ratio=0.5, limit=False, read_fraction=0.95, compute_ns=2_000,
-    serving_bound=True, slo_ns=2_000_000, psi=True, seed=1,
-)
-# Multi-window tenants at 20 ns a request: a quantum holds 3,200
-# requests, so a window run fits a fresh quantum and the next window
-# does not, and the batch path's quantum flushes alternate with window
-# runs.  At this seed one window run (tenant 1's eighth window) ends
-# exactly at a quantum flush.
-@example(
-    policy="clock", swap="ssd", n_tenants=2, n_requests=26_000,
-    capacity_ratio=0.5, limit=False, read_fraction=0.5, compute_ns=20,
-    serving_bound=True, slo_ns=2_000_000, psi=False, seed=508,
-)
-def test_random_small_fleets_identical_in_both_modes(
-    policy, swap, n_tenants, n_requests, capacity_ratio, limit,
-    read_fraction, compute_ns, serving_bound, slo_ns, psi, seed,
-):
-    config = FleetConfig(
+def property_config(
+    swap: str,
+    n_tenants: int,
+    n_requests: int,
+    capacity_ratio: float,
+    limit: bool,
+    read_fraction: float,
+    compute_ns: int,
+    serving_bound: bool,
+    slo_ns: int,
+) -> FleetConfig:
+    """The fleet of the random-small-fleets property: two shapes, the
+    first one's read fraction drawn."""
+    return FleetConfig(
         n_tenants=n_tenants,
         shapes=(
             TenantShape(
@@ -258,6 +236,77 @@ def test_random_small_fleets_identical_in_both_modes(
         arrival_rate_rps=1e10 if serving_bound else 60_000.0,
         slo_ns=slo_ns,
         n_cpus=2,
+    )
+
+
+#: Multi-window serving-bound tenants at 20 ns a request, PSI on and a
+#: 50 us SLO: every flush that carries a window run's chunk also
+#: carries SLO violators, from the chunk and from per-request hits, so
+#: the PSI violation windows must open at the same arrival in both
+#: modes.  At this seed one window run (tenant 1's last, ragged window
+#: of 1,416 requests) ends exactly at such a quantum flush.
+WINDOW_RUN_VIOLATIONS: Dict[str, Any] = dict(
+    policy="clock", swap="ssd", n_tenants=3, n_requests=12_000,
+    capacity_ratio=0.5, limit=False, read_fraction=0.5, compute_ns=20,
+    serving_bound=True, slo_ns=50_000, psi=True, seed=14,
+)
+
+
+def test_window_run_violations_example_reaches_violating_chunk_flush(
+    monkeypatch,
+):
+    """The example above keeps reaching a window-run chunk flush whose
+    arrivals include SLO violators, PSI on."""
+    flushes = []
+    observe = Histogram.observe_elapsed
+
+    def capture(self, now, starts):
+        flushes.append((now, int(starts[0])))
+        observe(self, now, starts)
+
+    kw = dict(WINDOW_RUN_VIOLATIONS)
+    policy, seed, psi = kw.pop("policy"), kw.pop("seed"), kw.pop("psi")
+    config = property_config(**kw)
+    monkeypatch.setattr(Histogram, "observe_elapsed", capture)
+    row = run_fleet_trial(config, policy, seed, fast_fleet=True, psi=psi)
+    monkeypatch.undo()
+    assert any(first < now - config.slo_ns for now, first in flushes)
+    assert sum(t["psi"]["viol_ns"] for t in row["tenants"]) > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    policy=st.sampled_from(POLICIES),
+    swap=st.sampled_from(("ssd", "zram")),
+    n_tenants=st.integers(1, 4),
+    n_requests=st.integers(1, 2_000),
+    capacity_ratio=st.floats(0.2, 1.0),
+    limit=st.booleans(),
+    read_fraction=st.sampled_from((0.0, 0.5, 0.95, 1.0)),
+    compute_ns=st.sampled_from((0, 20, 2_000)),
+    serving_bound=st.booleans(),
+    slo_ns=st.sampled_from((50_000, 2_000_000)),
+    psi=st.booleans(),
+    seed=st.integers(0, 1_000),
+)
+@example(**WINDOW_RUN_VIOLATIONS)
+# Multi-window tenants at 20 ns a request: a quantum holds 3,200
+# requests, so a window run fits a fresh quantum and the next window
+# does not, and the per-request path's quantum flushes alternate with
+# window runs.  At this seed one window run (tenant 1's eighth window)
+# ends exactly at a quantum flush.
+@example(
+    policy="clock", swap="ssd", n_tenants=2, n_requests=26_000,
+    capacity_ratio=0.5, limit=False, read_fraction=0.5, compute_ns=20,
+    serving_bound=True, slo_ns=2_000_000, psi=False, seed=508,
+)
+def test_random_small_fleets_identical_in_both_modes(
+    policy, swap, n_tenants, n_requests, capacity_ratio, limit,
+    read_fraction, compute_ns, serving_bound, slo_ns, psi, seed,
+):
+    config = property_config(
+        swap, n_tenants, n_requests, capacity_ratio, limit, read_fraction,
+        compute_ns, serving_bound, slo_ns,
     )
     fast, fast_events = row_and_batch_events(
         config, policy, seed, fast_fleet=True, psi=psi
