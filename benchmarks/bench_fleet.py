@@ -13,13 +13,21 @@ end to end:
    same sink file.
 3. **Throughput** — simulated requests per wall-clock second, for
    tracking the fleet path's mechanical cost over time.  The serving
-   loop is timed in both modes on every cell — "fast" with its batch
-   shortcut on, "scalar" with it off (``run_fleet_trial(fast_fleet=
+   loop is timed in both modes on every cell — "fast" with its window
+   runs on, "scalar" with them off (``run_fleet_trial(fast_fleet=
    False)``: every request served one at a time) — and both modes must
-   return byte-identical rows.
+   return byte-identical rows.  On the pressure cell both modes serve
+   nearly every request through the same per-request path: a window
+   run needs the rest of a draw window to fit the remaining compute
+   quantum, which at 6 us a request only a window's last few requests
+   do.
 4. **Lane speedup** — on a serving-bound cell (read-only, zero
-   per-request compute, near-full capacity) the fast mode must beat
-   the scalar mode by ``--min-speedup`` (default 5x).
+   per-request compute, near-full capacity), where window runs serve
+   nearly every request, the fast mode must beat the scalar mode by
+   ``--min-speedup`` (default 5x).
+
+Every timed trial starts from a fresh ``gc.collect()``, so a pair's
+ratio does not depend on where a collection pass falls.
 
 Writes ``benchmarks/output/BENCH_fleet.json``.
 
@@ -33,6 +41,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import resource
@@ -80,9 +89,9 @@ def big_fleet_config(n_tenants: int, n_requests: int) -> FleetConfig:
 def fastlane_config(n_tenants: int, n_requests: int) -> FleetConfig:
     """Serving-bound cell for the lane-speedup gate: read-only
     traffic, zero per-request compute, near-full capacity so resident
-    hits dominate.  This isolates the request-serving inner loop — the
-    thing the batch shortcut vectorizes — from fault and reclaim
-    work, which both modes share."""
+    hits dominate.  This isolates the request-serving inner loop — which
+    window runs replace with whole-window numpy stores — from fault and
+    reclaim work, which both modes share."""
     return FleetConfig(
         n_tenants=n_tenants,
         shapes=(
@@ -102,6 +111,7 @@ def fastlane_config(n_tenants: int, n_requests: int) -> FleetConfig:
 
 
 def _timed_trial(config, policy, seed, fast):
+    gc.collect()
     t0 = time.perf_counter()
     row = run_fleet_trial(config, policy, seed, fast_fleet=fast)
     wall_s = time.perf_counter() - t0
@@ -144,9 +154,10 @@ def bench_scale(args) -> dict:
 def bench_fast_lane(args) -> dict:
     """Property 4: fast-lane speedup on the serving-bound cell.
 
-    Lanes are timed interleaved (scalar, fast, scalar, fast, ...) and
-    scored best-of-``--repeats`` per lane, which suppresses host
-    timing noise far better than a single back-to-back pair."""
+    Lanes are timed interleaved (scalar, fast, scalar, fast, ...), each
+    trial after a ``gc.collect()`` (:func:`_timed_trial`), and scored
+    best-of-``--repeats`` per lane, which suppresses host timing noise
+    far better than a single back-to-back pair."""
     config = fastlane_config(args.tenants, args.fastlane_requests)
     # Warm the shared dataset/trace caches so neither lane pays the
     # one-time working-set build.
@@ -198,17 +209,20 @@ def _observer_pairs(config, fast: bool, pairs: int, plane: str):
     process CPU.
 
     The trials run in this process, so ``time.process_time()`` charges
-    each one its own CPU and not the host's other load.  Which side
-    runs first alternates from pair to pair, and the overhead is the
-    median of the per-pair on/off ratios less one, so one slow phase of
-    the host moves one ratio, not the score.  Returns the timings with
-    the overhead, and the last row of each side.
+    each one its own CPU and not the host's other load, and each starts
+    after a ``gc.collect()``, so no trial pays for garbage an earlier
+    one left.  Which side runs first alternates from pair to pair, and
+    the overhead is the median of the per-pair on/off ratios less one,
+    so one slow phase of the host moves one ratio, not the score.
+    Returns the timings with the overhead, and the last row of each
+    side.
     """
     cpu = {"off": [], "on": []}
     rows = {}
     for i in range(pairs):
         order = (("off", False), ("on", True))
         for side, on in order if i % 2 == 0 else order[::-1]:
+            gc.collect()
             t0 = time.process_time()
             rows[side] = run_fleet_trial(
                 config, "mglru", 4242, fast_fleet=fast, **{plane: on}
@@ -282,9 +296,9 @@ def bench_spans_overhead(args) -> dict:
     ``--fastlane-requests`` size (unlike PSI's shrunk copy) so its
     fixed fault population is amortized over real serving work, and
     both its lanes are gated at ``--max-spans-overhead`` (default
-    25%; with the batch shortcut off it lands within about 10%, with
-    it on requests are served so fast that the same per-fault work is
-    a larger fraction of a much smaller wall).  The pressure cell thrashes by
+    25%; with window runs off it lands within about 10%, with them on
+    requests are served so fast that the same per-fault work is a
+    larger fraction of a much smaller wall).  The pressure cell thrashes by
     construction — nearly every event is in the fault path the
     recorder brackets — so it is gated only by a fixed 100% canary
     ceiling that catches per-fault-cost regressions.
